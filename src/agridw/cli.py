@@ -1,4 +1,4 @@
-"""agridw command line: catalog validation, ingest, analysis, synthesis.
+"""agridw command line: catalog validation, ingest, analysis, store verification, synthesis.
 
 Exit codes: 0 success, 1 completed with findings (catalog violations or
 ingest rejects), 2 usage or environment failure. Diagnostics go to stderr;
@@ -13,9 +13,9 @@ from pathlib import Path
 
 from . import analytics, report, synth
 from .catalog import builtin_catalog, catalog_digest, load_catalog, validate_catalog
-from .errors import AgriDwError, ConfigError
+from .errors import AgriDwError, ConfigError, StoreError
 from .etl import SourceDescriptor, load_mapping, run_pipeline, write_reject_ledger
-from .store import open_store
+from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, open_store
 
 
 def _load_catalog_arg(path: str | None):
@@ -85,10 +85,10 @@ def _cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = analytics.extract_yield_records(snapshot)
-    assignments = analytics.assign_groups(records)
     rule = _parse_rule(args.rule)
 
     if args.mode == "groups":
+        assignments = analytics.assign_groups(records)
         stats = [analytics.yield_group_stats(a, records) for a in assignments.values()]
         fmt = {"json": report.FORMAT_JSON, "markdown": report.FORMAT_MARKDOWN}.get(
             args.format, report.FORMAT_DELIMITED
@@ -103,6 +103,7 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        assignments = analytics.assign_groups(records)
         stats = [analytics.factor_group_means(a, records, args.factor) for a in assignments.values()]
         if args.format == "json":
             path = report.emit_factor_series_json(stats, out_dir / f"factor_{args.factor}.json")
@@ -115,11 +116,29 @@ def _cmd_analyze(args) -> int:
         md_path = report.emit_findings(findings, report.FORMAT_MARKDOWN, out_dir / "findings.md")
         report.write_run_metadata(
             out_dir / "run_metadata.json",
-            catalog_digest=catalog_digest(catalog),
+            catalog_digest=store.catalog_digest,
             snapshot_digest=snapshot.digest,
             rule=rule.as_dict(),
         )
         print(f"findings: {json_path}, {md_path}", file=sys.stderr)
+    return 0
+
+
+def _cmd_store_verify(args) -> int:
+    catalog = _load_catalog_arg(args.catalog)
+    path = Path(args.store)
+    if not (path / MANIFEST_NAME).is_file():
+        raise StoreError(f"no store manifest in {path}")
+    store = open_store(path, catalog)
+    upgrade = ""
+    if store.manifest_version != MANIFEST_VERSION:
+        upgrade = f" (verified; the next write upgrades it to {MANIFEST_VERSION} with the digests below)"
+    print(f"manifest version {store.manifest_version}{upgrade}")
+    names = sorted(name for name in catalog.tables if store.table_digest(name) is not None)
+    for name in names:
+        size = (path / name / DATA_NAME).stat().st_size
+        print(f"{name}: {store.row_count(name)} rows, {size} bytes, digest {store.table_digest(name)}")
+    print(f"store ok: {len(names)} tables verified")
     return 0
 
 
@@ -166,6 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--factor", help="factor name for 'factor' mode")
     p_analyze.add_argument("--format", choices=("delimited", "json", "markdown"), default="delimited")
     p_analyze.set_defaults(func=_cmd_analyze)
+
+    p_store = sub.add_parser("store", help="store operations")
+    store_sub = p_store.add_subparsers(dest="store_command", required=True)
+    p_verify = store_sub.add_parser("verify", help="check every table against the manifest, read-only")
+    p_verify.add_argument("--store", required=True, help="store directory")
+    p_verify.add_argument("--catalog", help="catalog JSON path (default: builtin)")
+    p_verify.set_defaults(func=_cmd_store_verify)
 
     p_synth = sub.add_parser("synth", help="generate synthetic sources")
     p_synth.add_argument("--config", required=True, help="synth config JSON")

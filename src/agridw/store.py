@@ -2,14 +2,17 @@
 
 Layout: one subdirectory per populated table holding ``data.csv`` (header +
 rows, LF endings, numbers as decimal text with ≤6 fractional digits), plus a
-top-level ``manifest.json`` recording the catalog digest and per-table row
-counts and digests. Digests are FNV-1a 64-bit over the exact ``data.csv``
-bytes, maintained incrementally because tables are append-only.
+top-level ``manifest.json`` recording the format version, the catalog digest
+and per-table row counts and digests. Version 2 digests are BLAKE2b with an
+8-byte digest over the exact ``data.csv`` bytes, maintained incrementally
+because tables are append-only. Version 1 manifests (FNV-1a 64-bit digests
+over the same bytes) are still read; the next flush rewrites them as version 2.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -29,24 +32,22 @@ from .errors import (
     StoreTypeError,
     UnknownAttributeError,
 )
-from .util import FNV64_SEED, atomic_write_text, canonical_json, csv_line, fnv1a64, format_decimal
+from .util import atomic_write_text, canonical_json, csv_line, fnv1a64, format_decimal
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
 DATA_NAME = "data.csv"
 SK_COLUMN = "sk"
+MANIFEST_VERSION = 2
+V1_MANIFEST = 1  # FNV-1a 64-bit table digests; read, never written
 
 AGGREGATE_OPS = ("count", "sum", "mean", "min", "max")
 
+_DECODERS = {"foreign-key": int, "number": float}
 
-def _text_to_typed(attr_kind: str, text: str):
-    if text == "":
-        return None
-    if attr_kind == "foreign-key":
-        return int(text)
-    if attr_kind == "number":
-        return float(text)
-    return text
+
+def _blake2b64(data: bytes):
+    return hashlib.blake2b(data, digest_size=8)
 
 
 class _TableState:
@@ -64,7 +65,7 @@ class _TableState:
         self.columns = ([SK_COLUMN] if self._is_dim else []) + [a.name for a in table.attributes]
         self._layout = [(a.name, a.kind) for a in table.attributes]
         header = csv_line(self.columns).encode("utf-8")
-        self.digest_state = fnv1a64(header, FNV64_SEED)
+        self.digest_state = _blake2b64(header)
         self.pending: list[bytes] = [header]
         self.by_natural: dict[tuple, int] = {}
         self.by_leading: dict[str, int] = {}
@@ -89,13 +90,13 @@ class _TableState:
                     value = '"' + value + '"'
                 push(value)
         line = (",".join(values) + "\n").encode("utf-8")
-        self.digest_state = fnv1a64(line, self.digest_state)
+        self.digest_state.update(line)
         self.pending.append(line)
         self.rows.append(row)
 
     @property
     def digest(self) -> str:
-        return format(self.digest_state, "016x")
+        return self.digest_state.hexdigest()
 
 
 def _check_typed(table: TableDef, row: Mapping, *, allow_sk: bool = False) -> None:
@@ -126,6 +127,7 @@ class Store:
         self.path = Path(path)
         self.catalog = catalog
         self.catalog_digest = catalog_digest(catalog)
+        self.manifest_version = MANIFEST_VERSION  # as on disk; a flush writes MANIFEST_VERSION
         self._tables: dict[str, _TableState] = {}
         self._load_existing()
 
@@ -152,53 +154,57 @@ class Store:
             raise CatalogMismatchError(
                 f"store was created for catalog {recorded}, supplied catalog is {self.catalog_digest}"
             )
+        version = manifest.get("version")
+        if version not in (V1_MANIFEST, MANIFEST_VERSION):
+            raise StoreError(f"unsupported manifest version {version!r}")
+        self.manifest_version = version
         for name, entry in manifest.get("tables", {}).items():
             table = self.catalog.table(name)
             if table is None:
                 raise StoreError(f"manifest lists unknown table {name!r}")
             state = _TableState(table)
-            data_path = self._data_path(name)
             try:
-                data = data_path.read_bytes()
+                data = self._data_path(name).read_bytes()
             except OSError as exc:
                 raise StoreError(f"missing data file for table {name!r}: {exc}") from exc
-            digest = format(fnv1a64(data), "016x")
+            # One pass: on v2 the verifying hash is the table's streaming state.
+            state.digest_state = _blake2b64(data)
+            state.pending = []
+            digest = state.digest if version == MANIFEST_VERSION else format(fnv1a64(data), "016x")
             if digest != entry.get("digest"):
                 raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
-            self._parse_rows(state, data.decode("utf-8"))
+            self._parse_rows(state, data)
             if len(state.rows) != entry.get("rows"):
                 raise StoreError(f"table {name!r} row count mismatch")
-            state.digest_state = fnv1a64(data, FNV64_SEED)
-            state.pending = []
             self._tables[name] = state
 
-    def _parse_rows(self, state: _TableState, text: str) -> None:
-        reader = csv.reader(io.StringIO(text))
+    def _parse_rows(self, state: _TableState, data: bytes) -> None:
+        table = state.table
         try:
-            header = next(reader)
-        except StopIteration:
-            raise StoreError(f"table {state.table.name!r}: empty data file") from None
-        if header != state.columns:
-            raise StoreError(f"table {state.table.name!r}: unexpected columns {header!r}")
-        is_dim = state.table.role == "dimension"
-        attrs = state.table.attributes
-        for record in reader:
-            if not record:
-                continue
-            row: dict = {}
-            offset = 0
-            if is_dim:
-                row[SK_COLUMN] = int(record[0])
-                offset = 1
-            for attr, text_value in zip(attrs, record[offset:]):
-                value = _text_to_typed(attr.kind, text_value)
-                if value is not None:
-                    row[attr.name] = value
-            state.rows.append(row)
-            if is_dim:
-                natural = tuple(str(row.get(part)) for part in state.table.natural_key)
-                state.by_natural.setdefault(natural, row[SK_COLUMN])
-                state.by_leading.setdefault(str(row.get(state.table.natural_key[0])), row[SK_COLUMN])
+            reader = csv.reader(io.StringIO(data.decode("utf-8")))
+            header = next(reader, None)
+            if header is None:
+                raise StoreError(f"table {table.name!r}: empty data file")
+            if header != state.columns:
+                raise StoreError(f"table {table.name!r}: unexpected columns {header!r}")
+            decoders = ([(SK_COLUMN, int)] if state._is_dim else []) + [
+                (a.name, _DECODERS.get(a.kind, str)) for a in table.attributes
+            ]
+            rows = [
+                {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
+                for record in reader
+                if record
+            ]
+        except (ValueError, csv.Error) as exc:
+            raise StoreError(f"table {table.name!r}: unreadable data file: {exc}") from exc
+        state.rows = rows
+        if state._is_dim:
+            natural_key = table.natural_key
+            leading = natural_key[0]
+            for row in rows:
+                sk = row[SK_COLUMN]
+                state.by_natural.setdefault(tuple(str(row.get(part)) for part in natural_key), sk)
+                state.by_leading.setdefault(str(row.get(leading)), sk)
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -207,9 +213,10 @@ class Store:
                 name: {"rows": len(state.rows), "digest": state.digest}
                 for name, state in sorted(self._tables.items())
             },
-            "version": 1,
+            "version": MANIFEST_VERSION,
         }
         atomic_write_text(self._manifest_path(), canonical_json(manifest))
+        self.manifest_version = MANIFEST_VERSION
 
     def flush(self) -> None:
         """Append pending rows to disk and rewrite the manifest."""

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from agridw.catalog import builtin_catalog, save_catalog, serialize_catalog
 from agridw.cli import main
 from agridw.report import load_findings
+from agridw.util import fnv1a64
 
 
 def _write(path: Path, text: str) -> str:
@@ -219,6 +221,60 @@ class TestAnalyze:
         store_dir = tmp_path / "empty"
         open_store(store_dir, builtin_catalog())
         assert main(["analyze", "mine", "--store", str(store_dir), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestStoreVerify:
+    def _store(self, tmp_path) -> Path:
+        crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n", "C2,9.1\n", "C1,7.75\n"])
+        store = tmp_path / "store"
+        assert main([
+            "ingest", "--store", str(store),
+            "--source", crops, "--mapping", crop_map,
+            "--source", facts, "--mapping", fact_map,
+        ]) == 0
+        return store
+
+    def test_intact_store_lists_every_table(self, tmp_path, capsys):
+        store = self._store(tmp_path)
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", str(store)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "manifest version 2"
+        for name, rows in (("Crop", 2), ("FieldFact", 3)):
+            data = (store / name / "data.csv").read_bytes()
+            digest = hashlib.blake2b(data, digest_size=8).hexdigest()
+            assert f"{name}: {rows} rows, {len(data)} bytes, digest {digest}" in out
+        assert out[-1] == "store ok: 2 tables verified"
+
+    def test_tampered_store_exit_two_names_the_table(self, tmp_path, capsys):
+        store = self._store(tmp_path)
+        data = store / "FieldFact" / "data.csv"
+        original = data.read_bytes()
+        assert b",8.5" in original
+        data.write_bytes(original.replace(b",8.5", b",9.5"))
+        manifest_before = (store / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", str(store)]) == 2
+        assert "FieldFact" in capsys.readouterr().err
+        assert (store / "manifest.json").read_bytes() == manifest_before
+
+    def test_v1_store_verifies_without_upgrade(self, tmp_path, capsys):
+        store = self._store(tmp_path)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["version"] = 1
+        for name in manifest["tables"]:
+            manifest["tables"][name]["digest"] = format(fnv1a64((store / name / "data.csv").read_bytes()), "016x")
+        text = json.dumps(manifest)
+        (store / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", str(store)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("manifest version 1 (verified;")
+        assert (store / "manifest.json").read_text() == text
+
+    def test_missing_store_exit_two_creates_nothing(self, tmp_path, capsys):
+        assert main(["store", "verify", "--store", str(tmp_path / "none")]) == 2
+        assert "no store manifest" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
 
 
 class TestSynth:

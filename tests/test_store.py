@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agridw.catalog import builtin_catalog, Catalog
 from agridw.errors import (
     CatalogMismatchError,
     DanglingKeyError,
     QueryError,
+    StoreError,
     StoreLockError,
     StoreTypeError,
     UnknownAttributeError,
@@ -21,6 +28,7 @@ from agridw.store import (
     open_store,
     star_query,
 )
+from agridw.util import fnv1a64
 
 CATALOG = builtin_catalog()
 
@@ -53,6 +61,151 @@ class TestOpenStore:
         edited = Catalog(version="edited", tables=CATALOG.tables)
         with pytest.raises(CatalogMismatchError):
             open_store(store_dir, edited)
+
+
+def _blake2b64_hex(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def _manifest(store_dir) -> dict:
+    return json.loads((Path(store_dir) / "manifest.json").read_text())
+
+
+def _data_files(store_dir) -> dict[str, bytes]:
+    return {p.parent.name: p.read_bytes() for p in sorted(Path(store_dir).glob("*/data.csv"))}
+
+
+def _small_store(store_dir):
+    store = open_store(store_dir, CATALOG)
+    store.upsert_dimension("Crop", {**_crop("C1", "Grass"), "EstYield": 20.5, "ScienName": 'Poa "annua", L.'})
+    store.upsert_dimension("Crop", _crop("C2", "Winter Rye"))
+    store.insert_facts("FieldFact", [{"CropKey": 1, "YieldValue": 8.25}, {"CropKey": 2, "HerbicideQty": 0.5}])
+    store.flush()
+    return store
+
+
+def _rewrite_as_v1(store_dir) -> None:
+    """Turn a store into one as a version-1 writer left it: FNV-1a digests."""
+    manifest = _manifest(store_dir)
+    manifest["version"] = 1
+    for name, data in _data_files(store_dir).items():
+        manifest["tables"][name]["digest"] = format(fnv1a64(data), "016x")
+    (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+class TestFormat:
+    def test_digests_are_blake2b64_of_the_file_bytes(self, store_dir):
+        store = _small_store(store_dir)
+        manifest = _manifest(store_dir)
+        assert manifest["version"] == 2
+        files = _data_files(store_dir)
+        assert set(files) == set(manifest["tables"]) == {"Crop", "FieldFact"}
+        for name, data in files.items():
+            assert manifest["tables"][name]["digest"] == _blake2b64_hex(data)
+            assert store.table_digest(name) == _blake2b64_hex(data)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_flipped_byte_fails_reopen(self, store_dir, version):
+        _small_store(store_dir)
+        if version == 1:
+            _rewrite_as_v1(store_dir)
+        assert _manifest(store_dir)["version"] == version
+        for name, data in _data_files(store_dir).items():
+            path = Path(store_dir) / name / "data.csv"
+            for offset in (0, len(data) // 2, len(data) - 2):
+                flipped = bytearray(data)
+                flipped[offset] ^= 0x01
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(StoreError, match=name):
+                    open_store(store_dir, CATALOG)
+            path.write_bytes(data)
+        open_store(store_dir, CATALOG)
+
+    def test_undecodable_cell_under_a_matching_digest_is_a_store_error(self, store_dir):
+        _small_store(store_dir)
+        path = Path(store_dir) / "FieldFact" / "data.csv"
+        forged = path.read_bytes().replace(b"\n1,", b"\nx,", 1)
+        path.write_bytes(forged)
+        manifest = _manifest(store_dir)
+        manifest["tables"]["FieldFact"]["digest"] = _blake2b64_hex(forged)
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="FieldFact"):
+            open_store(store_dir, CATALOG)
+
+    def test_unknown_manifest_version_is_refused(self, store_dir):
+        _small_store(store_dir)
+        manifest = _manifest(store_dir)
+        manifest["version"] = 3
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="version"):
+            open_store(store_dir, CATALOG)
+
+    def test_v1_store_opens_and_upgrades_on_next_flush(self, store_dir):
+        rows = _small_store(store_dir).snapshot().tables
+        _rewrite_as_v1(store_dir)
+        v1 = open_store(store_dir, CATALOG)
+        assert v1.manifest_version == 1
+        assert v1.snapshot().tables == rows
+        assert v1.resolve_dimension("Crop", "C2") == 2
+        assert _manifest(store_dir)["version"] == 1  # opening does not rewrite
+
+        v1.insert_facts("FieldFact", [{"CropKey": 1, "YieldValue": 9.0}])
+        v1.flush()
+        manifest = _manifest(store_dir)
+        assert manifest["version"] == 2
+        files = _data_files(store_dir)
+        for name, data in files.items():
+            assert manifest["tables"][name]["digest"] == _blake2b64_hex(data)
+        assert manifest["tables"]["FieldFact"]["rows"] == 3
+        assert open_store(store_dir, CATALOG).table_digest("Crop") == _blake2b64_hex(files["Crop"])
+
+    def test_snapshot_from_tables_digests_match_the_store(self, store_dir):
+        snapshot = _small_store(store_dir).snapshot()
+        rebuilt = Snapshot.from_tables(CATALOG, snapshot.tables)
+        assert rebuilt.table_digests == snapshot.table_digests
+        assert rebuilt.digest == snapshot.digest
+        for name, data in _data_files(store_dir).items():
+            assert rebuilt.table_digests[name] == _blake2b64_hex(data)
+
+
+_TEXT = st.text(alphabet='ab ,"\n', min_size=1, max_size=6)
+_CROP = st.fixed_dictionaries(
+    {"CropID": st.sampled_from(["C1", "C2", "C3", "C,4", 'C"5']), "CropName": _TEXT},
+    optional={"EstYield": st.floats(-1e6, 1e6), "ScienName": _TEXT},
+)
+_FACT = st.fixed_dictionaries(
+    {"CropKey": st.integers(1, 3)},
+    optional={"YieldValue": st.floats(0, 1e4), "HerbicideQty": st.integers(0, 500)},
+)
+_STEP = st.one_of(
+    st.tuples(st.just("upsert"), _CROP),
+    st.tuples(st.just("facts"), st.lists(_FACT, max_size=4)),
+    st.tuples(st.just("flush"), st.none()),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(_STEP, max_size=12))
+def test_streaming_digest_equals_one_shot_blake2b_of_the_file(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = open_store(Path(tmp) / "store", CATALOG)
+        for kind, payload in steps:
+            if kind == "upsert":
+                store.upsert_dimension("Crop", payload)
+            elif kind == "facts":
+                rows = [row for row in payload if row["CropKey"] <= store.row_count("Crop")]
+                store.insert_facts("FieldFact", rows)
+            else:
+                store.flush()
+        store.flush()
+        files = _data_files(Path(tmp) / "store")
+        digests = {name: store.table_digest(name) for name in files}
+        assert digests == {name: _blake2b64_hex(data) for name, data in files.items()}
+        reopened = open_store(Path(tmp) / "store", CATALOG)
+        assert {name: reopened.table_digest(name) for name in files} == digests
+        assert {name: reopened.row_count(name) for name in files} == {
+            name: store.row_count(name) for name in files
+        }
 
 
 class TestUpsert:
