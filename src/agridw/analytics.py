@@ -9,7 +9,7 @@ rule; the optimum is the group-1 mean at factor-specific precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, inf, sqrt
+from math import fsum, inf, isfinite, sqrt
 from typing import Iterable, Mapping, Sequence
 
 from scipy.stats import t as _student_t
@@ -243,9 +243,17 @@ def quintile_label(position: int, n: int) -> int:
 
 
 def assign_groups(records: Iterable[YieldRecord]) -> dict[str, GroupAssignment]:
-    """Quintile assignment per crop; crops with fewer than 5 records are skipped."""
+    """Quintile assignment per crop; crops with fewer than 5 records are skipped.
+
+    Yields must be finite and positive, as ETL requires; any other raises
+    ConfigError naming the record.
+    """
     by_crop: dict[str, list[YieldRecord]] = {}
     for record in records:
+        if not 0.0 < record.yield_value < inf:
+            raise ConfigError(
+                f"record {record.record_id}: yield {record.yield_value!r} is not a finite positive number"
+            )
         by_crop.setdefault(record.crop, []).append(record)
     out: dict[str, GroupAssignment] = {}
     for crop in sorted(by_crop):
@@ -276,9 +284,14 @@ def yield_group_stats(assignment: GroupAssignment, records: Iterable[YieldRecord
     per_group: list[list[float]] = [[] for _ in GROUPS]
     for record_id, label in zip(assignment.record_ids, assignment.labels):
         per_group[label - 1].append(yields[record_id])
-    means = tuple(_mean(vals) for vals in per_group)
+    try:
+        means = tuple(_mean(vals) for vals in per_group)
+    except OverflowError:
+        raise ConfigError(f"crop {assignment.crop!r}: yields too large to average") from None
     mean_3 = means[2]
     pcts = tuple(0.0 if g == 3 else pct_vs_median_group(means[g - 1], mean_3) for g in GROUPS)
+    if not all(isfinite(p) for p in pcts):
+        raise ConfigError(f"crop {assignment.crop!r}: group means {means} too far apart for a percentage")
     return GroupYieldStats(
         crop=assignment.crop,
         counts=tuple(len(vals) for vals in per_group),

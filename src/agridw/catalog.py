@@ -4,14 +4,16 @@ The builtin catalog models seasonal farming outcomes: five fact tables
 (FieldFact, Sale, Order, Testing, ManagementAction) share 22 dimension
 tables covering crops, fields, soil, weather, trading partners and farm
 operations. FieldFact carries the per-field season result (yield plus
-applied quantities) against 12 of those dimensions.
+applied quantities) against 12 of those dimensions. Its only definition is
+the package file ``data/builtin_catalog.json``, kept in canonical form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -94,6 +96,11 @@ class Catalog:
     def dimensions(self) -> Iterator[TableDef]:
         return (t for t in self.tables.values() if t.role == ROLE_DIMENSION)
 
+    @cached_property
+    def digest(self) -> str:
+        """FNV-1a 64-bit hex digest of the canonical serialization, computed once."""
+        return fnv1a64_hex(serialize_catalog(self).encode("utf-8"))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -101,408 +108,6 @@ class Violation:
     attribute: str | None
     rule: str
     message: str
-
-
-# --- builtin schema -------------------------------------------------------
-
-def _attr(name, kind="text", unit=None, nullable=True, ref=None) -> AttributeDef:
-    return AttributeDef(name=name, kind=kind, unit=unit, nullable=nullable, references=ref)
-
-
-def _nk(name) -> AttributeDef:
-    return AttributeDef(name=name, kind="natural-key-part", nullable=False)
-
-
-def _num(name, unit=None) -> AttributeDef:
-    return AttributeDef(name=name, kind="number", unit=unit)
-
-
-def _fk(name, ref) -> AttributeDef:
-    return AttributeDef(name=name, kind="foreign-key", references=ref)
-
-
-def _dim(name, attributes, natural_key) -> TableDef:
-    return TableDef(
-        name=name,
-        role=ROLE_DIMENSION,
-        attributes=tuple(attributes),
-        natural_key=tuple(natural_key),
-    )
-
-
-def _fact(name, attributes, measures, dimension_refs) -> TableDef:
-    return TableDef(
-        name=name,
-        role=ROLE_FACT,
-        attributes=tuple(attributes),
-        measures=tuple(measures),
-        dimension_refs=tuple(dimension_refs),
-    )
-
-
-def _builtin_tables() -> list[TableDef]:
-    dims = [
-        _dim(
-            "Business",
-            [_nk("BusinessID"), _nk("Name"), _attr("Address"), _attr("Phone"), _attr("Email")],
-            ["BusinessID", "Name"],
-        ),
-        _dim(
-            "Crop",
-            [
-                _nk("CropID"),
-                _nk("CropName"),
-                _attr("VarietyID"),
-                _attr("VarietyName"),
-                _num("EstYield", "ton/ha"),
-                _attr("SeasonStart", kind="date"),
-                _attr("SeasonEnd", kind="date"),
-                _attr("BbchScale"),
-                _attr("ScienName"),
-                _attr("HarvestEquipment"),
-                _num("Equ.Weight"),
-            ],
-            ["CropID", "CropName"],
-        ),
-        _dim(
-            "CropState",
-            [
-                _nk("CropStateID"),
-                _fk("CropID", "Crop"),
-                _attr("StageScale"),
-                _num("Height"),
-                _attr("MajorStage"),
-                _attr("MinStage"),
-                _attr("MaxStage"),
-                _num("Diameter"),
-                _num("AveHeight"),
-                _num("CoveragePercent"),
-            ],
-            ["CropStateID"],
-        ),
-        _dim(
-            "Farmer",
-            [_nk("FarmerID"), _nk("Name"), _attr("Address"), _attr("Phone"), _attr("Mobile"), _attr("Email")],
-            ["FarmerID", "Name"],
-        ),
-        _dim(
-            "Fertiliser",
-            [_nk("FertiliserID"), _nk("Name"), _attr("Unit"), _attr("Status"), _attr("Description"), _attr("GroupName")],
-            ["FertiliserID", "Name"],
-        ),
-        _dim(
-            "Field",
-            [
-                _nk("FieldID"),
-                _nk("FieldName"),
-                _fk("SiteID", "Site"),
-                _attr("Reference"),
-                _attr("Block"),
-                _num("Area"),
-                _attr("AreaUnit"),
-                _num("WorkingArea"),
-                _attr("WorkingAreaUnit"),
-                _num("Latitude"),
-                _num("Longitude"),
-                _attr("GeometricPoints", kind="geo-polygon"),
-                _attr("FieldImage"),
-                _attr("Notes"),
-            ],
-            ["FieldID", "FieldName"],
-        ),
-        _dim(
-            "Inspection",
-            [
-                _nk("InspectionID"),
-                _fk("CropID", "Crop"),
-                _attr("Description"),
-                _attr("ProblemType"),
-                _attr("Severity"),
-                _num("AreaValue"),
-                _attr("AreaUnit"),
-                _num("Order"),
-                _attr("Date", kind="date"),
-                _attr("Notes"),
-                _attr("GrowthStage"),
-            ],
-            ["InspectionID"],
-        ),
-        _dim(
-            "Nutrient",
-            [_nk("NutrientID"), _nk("NutrientName"), _attr("Date", kind="date"), _num("Quantity", "mg/l")],
-            ["NutrientID", "NutrientName"],
-        ),
-        _dim(
-            "OperationTime",
-            [
-                _nk("OperationTimeID"),
-                _attr("StartDate", kind="date"),
-                _attr("EndDate", kind="date"),
-                _attr("Season", kind="enum"),
-            ],
-            ["OperationTimeID"],
-        ),
-        _dim(
-            "Pest",
-            [
-                _nk("PestID"),
-                _attr("CommonName"),
-                _attr("ScientificName"),
-                _attr("PestType"),
-                _attr("Description"),
-                _num("Density"),
-                _attr("MinStage"),
-                _attr("MaxStage"),
-                _num("Coverage"),
-                _attr("CoverageUnit"),
-            ],
-            ["PestID"],
-        ),
-        _dim(
-            "Plan",
-            [
-                _nk("PlanID"),
-                _nk("PlanName"),
-                _attr("RegisNo"),
-                _attr("ProductName"),
-                _num("ProductRate"),
-                _attr("Date", kind="date"),
-                _num("WaterVolume", "l/ha"),
-            ],
-            ["PlanID", "PlanName"],
-        ),
-        _dim(
-            "Product",
-            [_nk("ProductID"), _nk("ProductName"), _attr("GroupName")],
-            ["ProductID", "ProductName"],
-        ),
-        _dim(
-            "Spray",
-            [
-                _nk("SprayID"),
-                _attr("SprayProductName"),
-                _num("ProductRate"),
-                _num("Area"),
-                _num("WaterVolume", "l/ha"),
-                _num("ConfDuration"),
-                _num("ConfWindSpeed"),
-                _attr("ConfDirection"),
-                _num("ConfHumidity"),
-                _num("ConfTemp"),
-                _attr("ActivityType"),
-            ],
-            ["SprayID"],
-        ),
-        _dim(
-            "Site",
-            [
-                _nk("SiteID"),
-                _fk("FarmerID", "Farmer"),
-                _nk("SiteName"),
-                _attr("Reference"),
-                _attr("Address"),
-                _attr("GPS", kind="geo-point"),
-                _attr("CreatedBy"),
-            ],
-            ["SiteID", "SiteName"],
-        ),
-        _dim(
-            "Soil",
-            [
-                _nk("SoilID"),
-                _fk("NutrientID", "Nutrient"),
-                _num("PH", "pH"),
-                _num("Nitrogen", "mg/l"),
-                _num("Phosphorus", "mg/l"),
-                _num("Potassium", "mg/l"),
-                _num("Magnesium", "mg/l"),
-                _num("Calcium", "mg/l"),
-                _num("CEC"),
-                _num("Silt"),
-                _num("Clay"),
-                _num("Sand"),
-                _attr("SoilTexture"),
-                _attr("SoilType"),
-                _num("OrganicMatter"),
-                _attr("TopSoil"),
-                _attr("SupSoil"),
-                _attr("TestDate", kind="date"),
-                _attr("Unit"),
-            ],
-            ["SoilID"],
-        ),
-        _dim(
-            "Supplier",
-            [_nk("SupplierID"), _nk("SupplierName"), _attr("Address"), _attr("Phone"), _attr("Email")],
-            ["SupplierID", "SupplierName"],
-        ),
-        _dim(
-            "Task",
-            [
-                _nk("TaskID"),
-                _attr("Desc"),
-                _attr("Status"),
-                _attr("TaskDate", kind="date"),
-                _attr("TaskInterval"),
-                _attr("CompDate", kind="date"),
-                _attr("AppCode"),
-            ],
-            ["TaskID"],
-        ),
-        _dim(
-            "TransTime",
-            [
-                _nk("TransTimeID"),
-                _attr("OrderDate", kind="date"),
-                _attr("DeliverDate", kind="date"),
-                _attr("ReceivedDate", kind="date"),
-            ],
-            ["TransTimeID"],
-        ),
-        _dim(
-            "Treatment",
-            [
-                _nk("TreatmentID"),
-                _nk("TreatmentName"),
-                _attr("FormType"),
-                _attr("LotCode"),
-                _num("Rate"),
-                _attr("ApplCode"),
-                _attr("LevNo"),
-                _attr("Type"),
-                _attr("Description"),
-                _attr("ApplDesc"),
-                _attr("TreatmentComment"),
-            ],
-            ["TreatmentID", "TreatmentName"],
-        ),
-        _dim(
-            "WeatherReading",
-            [
-                _nk("WeatherReadingID"),
-                _fk("WeatherStationID", "WeatherStation"),
-                _attr("ReadingDate", kind="date"),
-                _attr("ReadingTime", kind="time"),
-                _num("AirTemper"),
-                _num("Rainfall"),
-                _num("SPLite"),
-                _num("RelativeHumidity"),
-                _num("WindSpeed"),
-                _attr("WindDirection"),
-                _num("SoilTemper"),
-                _num("LeafWetness"),
-            ],
-            ["WeatherReadingID"],
-        ),
-        _dim(
-            "WeatherStation",
-            [
-                _nk("WeatherStationID"),
-                _attr("Station Name"),
-                _num("Latitude"),
-                _num("Longitude"),
-                _attr("Region"),
-            ],
-            ["WeatherStationID"],
-        ),
-        _dim(
-            "Zone",
-            [
-                _nk("ZoneID"),
-                _nk("ZoneName"),
-                _fk("FieldID", "Field"),
-                _fk("SoilID", "Soil"),
-                _attr("ZoneType"),
-                _num("Area"),
-                _attr("AreaUnit"),
-                _num("Latitude"),
-                _num("Longitude"),
-                _attr("GeometricPoints", kind="geo-polygon"),
-                _attr("YieldMap"),
-                _attr("SatellitePicture"),
-                _attr("Notes"),
-            ],
-            ["ZoneID", "ZoneName"],
-        ),
-    ]
-
-    fieldfact_dims = (
-        "Crop",
-        "CropState",
-        "Field",
-        "Zone",
-        "Soil",
-        "Fertiliser",
-        "Nutrient",
-        "Pest",
-        "Treatment",
-        "Spray",
-        "OperationTime",
-        "WeatherStation",
-    )
-    trade_dims = ("Business", "Supplier", "Product", "TransTime")
-    trade_attrs = lambda: [_fk(d + "Key", d) for d in trade_dims] + [_num("Quantity"), _num("UnitPrice")]
-
-    facts = [
-        _fact(
-            "FieldFact",
-            [_fk(d + "Key", d) for d in fieldfact_dims]
-            + [
-                _num("YieldValue", "ton/ha"),
-                _num("HerbicideQty", "kg/ha"),
-                _num("InsecticideQty", "g/ha"),
-                _num("FungicideQty", "g/ha"),
-                _num("FertiliserQty", "kg/ha"),
-                _num("WaterVolume", "l/ha"),
-            ],
-            ["YieldValue", "HerbicideQty", "InsecticideQty", "FungicideQty", "FertiliserQty", "WaterVolume"],
-            fieldfact_dims,
-        ),
-        _fact("Sale", trade_attrs(), ["Quantity", "UnitPrice"], trade_dims),
-        _fact("Order", trade_attrs(), ["Quantity", "UnitPrice"], trade_dims),
-        _fact(
-            "Testing",
-            [
-                _attr("TestingID", nullable=False),
-                _attr("TestingType", kind="enum"),
-                _fk("CropKey", "Crop"),
-                _fk("SoilKey", "Soil"),
-                _fk("NutrientKey", "Nutrient"),
-                _fk("OperationTimeKey", "OperationTime"),
-                _num("ResultValue"),
-            ],
-            ["ResultValue"],
-            ("Crop", "Soil", "Nutrient", "OperationTime"),
-        ),
-        _fact(
-            "ManagementAction",
-            [
-                _attr("ActionID", nullable=False),
-                _attr("ActionType", kind="enum"),
-                _fk("FertiliserKey", "Fertiliser"),
-                _fk("TreatmentKey", "Treatment"),
-                _fk("InspectionKey", "Inspection"),
-                _fk("SprayKey", "Spray"),
-                _fk("TaskKey", "Task"),
-                _fk("PlanKey", "Plan"),
-                _num("ActionCost"),
-            ],
-            ["ActionCost"],
-            ("Fertiliser", "Treatment", "Inspection", "Spray", "Task", "Plan"),
-        ),
-    ]
-    return facts + dims
-
-
-_BUILTIN: Catalog | None = None
-
-
-def builtin_catalog() -> Catalog:
-    """The shipped agricultural catalog: 5 fact tables, 22 dimension tables."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = Catalog(version="1.0", tables={t.name: t for t in _builtin_tables()})
-    return _BUILTIN
 
 
 # --- serialization --------------------------------------------------------
@@ -537,8 +142,8 @@ def serialize_catalog(catalog: Catalog) -> str:
 
 
 def catalog_digest(catalog: Catalog) -> str:
-    """FNV-1a 64-bit hex digest of the canonical serialization."""
-    return fnv1a64_hex(serialize_catalog(catalog).encode("utf-8"))
+    """FNV-1a 64-bit hex digest of the canonical serialization (``Catalog.digest``)."""
+    return catalog.digest
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> Path:
@@ -630,6 +235,23 @@ def load_catalog(path: str | Path) -> Catalog:
     if not text.strip():
         raise CatalogParseError("no tables", str(path))
     return loads_catalog(text)
+
+
+@cache
+def builtin_catalog() -> Catalog:
+    """The shipped agricultural catalog: 5 fact tables, 22 dimension tables.
+
+    Parsed and validated once per process; a broken package file raises
+    CatalogParseError naming its first violation.
+    """
+    text = resources.files(__package__).joinpath("data/builtin_catalog.json").read_text(encoding="utf-8")
+    catalog = loads_catalog(text)
+    violations = validate_catalog(catalog)
+    if violations:
+        first = violations[0]
+        locus = f"{first.table}.{first.attribute}" if first.attribute else first.table
+        raise CatalogParseError(f"builtin catalog violates [{first.rule}]: {first.message}", locus)
+    return catalog
 
 
 # --- validation -----------------------------------------------------------

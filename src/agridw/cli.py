@@ -8,6 +8,7 @@ analysis data is written to files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -105,10 +106,9 @@ def _cmd_analyze(args) -> int:
             return 2
         assignments = analytics.assign_groups(records)
         stats = [analytics.factor_group_means(a, records, args.factor) for a in assignments.values()]
-        if args.format == "json":
-            path = report.emit_factor_series_json(stats, out_dir / f"factor_{args.factor}.json")
-        else:
-            path = report.emit_factor_series(stats, out_dir / f"factor_{args.factor}.csv")
+        fmt = report.FORMAT_JSON if args.format == "json" else report.FORMAT_DELIMITED
+        suffix = ".json" if args.format == "json" else ".csv"
+        path = report.emit_factor_series(stats, out_dir / f"factor_{args.factor}{suffix}", fmt)
         print(f"factor series: {path}", file=sys.stderr)
     else:  # mine
         findings = analytics.mine_optima_from_records(records, rule)
@@ -145,13 +145,7 @@ def _cmd_store_verify(args) -> int:
 def _cmd_synth(args) -> int:
     config = synth.SynthConfig.from_json_file(args.config)
     if args.seed is not None:
-        config = synth.SynthConfig(
-            crops=config.crops,
-            records_per_crop=config.records_per_crop,
-            noise_sd=config.noise_sd,
-            missing_rate=config.missing_rate,
-            seed=args.seed,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     result = synth.generate(config, args.out)
     print(f"generated {len(config.crops)} crops x {config.records_per_crop} records in {result.out_dir}",
           file=sys.stderr)

@@ -69,39 +69,32 @@ def emit_group_table(stats: Sequence[GroupYieldStats], fmt: str, path: str | Pat
     raise ConfigError(f"unknown group table format {fmt!r}")
 
 
-def emit_factor_series(stats: Sequence[FactorGroupStats], path: str | Path) -> Path:
-    """Plot-ready factor series: crop, factor, group, mean, count, sd."""
-    out = io.StringIO()
-    out.write("crop,factor,group,mean,count,sd\n")
-    for s in sorted(stats, key=lambda s: (s.factor, s.crop)):
-        for g in range(1, 6):
-            mean = s.means[g - 1]
-            sd = s.sds[g - 1]
-            out.write(
-                f"{s.crop},{s.factor},{g},"
-                f"{'' if mean is None else format_decimal(mean)},"
-                f"{s.counts[g - 1]},"
-                f"{'' if sd is None else format_decimal(sd)}\n"
-            )
-    return atomic_write_text(Path(path), out.getvalue())
+_FACTOR_COLUMNS = ("crop", "factor", "group", "mean", "count", "sd")
 
 
-def emit_factor_series_json(stats: Sequence[FactorGroupStats], path: str | Path) -> Path:
-    """JSON variant of the factor series, one object per (crop, factor, group)."""
-    payload = []
-    for s in sorted(stats, key=lambda s: (s.factor, s.crop)):
-        for g in range(1, 6):
-            payload.append(
-                {
-                    "crop": s.crop,
-                    "factor": s.factor,
-                    "group": g,
-                    "mean": s.means[g - 1],
-                    "count": s.counts[g - 1],
-                    "sd": s.sds[g - 1],
-                }
-            )
-    return atomic_write_text(Path(path), canonical_json(payload))
+def _decimal_or_blank(value: float | None) -> str:
+    return "" if value is None else format_decimal(value)
+
+
+def emit_factor_series(
+    stats: Sequence[FactorGroupStats], path: str | Path, fmt: str = FORMAT_DELIMITED
+) -> Path:
+    """Plot-ready factor series, one row per (factor, crop, group): crop, factor, group, mean, count, sd."""
+    rows = [
+        (s.crop, s.factor, g, s.means[g - 1], s.counts[g - 1], s.sds[g - 1])
+        for s in sorted(stats, key=lambda s: (s.factor, s.crop))
+        for g in range(1, 6)
+    ]
+    if fmt == FORMAT_DELIMITED:
+        out = io.StringIO()
+        out.write(",".join(_FACTOR_COLUMNS) + "\n")
+        for crop, factor, g, mean, count, sd in rows:
+            out.write(f"{crop},{factor},{g},{_decimal_or_blank(mean)},{count},{_decimal_or_blank(sd)}\n")
+        return atomic_write_text(Path(path), out.getvalue())
+    if fmt == FORMAT_JSON:
+        payload = [dict(zip(_FACTOR_COLUMNS, row)) for row in rows]
+        return atomic_write_text(Path(path), canonical_json(payload))
+    raise ConfigError(f"unknown factor series format {fmt!r}")
 
 
 # --- findings ---------------------------------------------------------------

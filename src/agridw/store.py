@@ -32,7 +32,7 @@ from .errors import (
     StoreTypeError,
     UnknownAttributeError,
 )
-from .util import atomic_write_text, canonical_json, csv_line, fnv1a64, format_decimal
+from .util import atomic_write_text, canonical_json, csv_field, csv_line, fnv1a64, format_decimal
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
@@ -83,12 +83,7 @@ class _TableState:
             elif kind == "foreign-key":
                 push(str(value))
             else:
-                # minimal RFC 4180 quoting; numbers and keys never need it
-                if '"' in value:
-                    value = '"' + value.replace('"', '""') + '"'
-                elif "," in value or "\n" in value or "\r" in value:
-                    value = '"' + value + '"'
-                push(value)
+                push(csv_field(value))  # numbers and keys never need quoting
         line = (",".join(values) + "\n").encode("utf-8")
         self.digest_state.update(line)
         self.pending.append(line)

@@ -23,9 +23,6 @@ def fnv1a64(data: bytes, state: int = _FNV64_OFFSET) -> int:
     return h
 
 
-FNV64_SEED = _FNV64_OFFSET
-
-
 def fnv1a64_hex(data: bytes) -> str:
     return format(fnv1a64(data), "016x")
 

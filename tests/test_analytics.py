@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from math import fsum, sqrt
+from math import fsum, inf, isfinite, nan, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from agridw.analytics import (
     yield_group_stats,
 )
 from agridw.catalog import builtin_catalog
+from agridw.errors import ConfigError
 from agridw.store import open_store
 
 from helpers import GROUP_TABLE_ROWS
@@ -118,6 +119,39 @@ class TestAssignGroups:
         for p1, p2 in zip(stats_base.pcts, stats_scaled.pcts):
             assert abs(p1 - p2) <= 1e-9
 
+
+
+class TestRejectsUngroupableYields:
+    def test_zero_yields_rejected_naming_the_record(self):
+        records = _records([5.0, 4.0, 3.0] + [0.0] * 7, crop="Maize")
+        for entry_point in (assign_groups, mine_optima_from_records):
+            with pytest.raises(ConfigError, match="record 4"):
+                entry_point(records)
+
+    @pytest.mark.parametrize("bad", [nan, inf, -inf, 0.0, -0.0, -1.5])
+    def test_non_finite_or_non_positive_yield_rejected(self, bad):
+        records = _records([9.0, 8.0, 7.0, bad, 6.0, 5.0])
+        for entry_point in (assign_groups, mine_optima_from_records):
+            with pytest.raises(ConfigError, match="record 4"):
+                entry_point(records)
+
+    @pytest.mark.parametrize("top", [1e308, 100.0])  # a mean that overflows; a ratio that does
+    def test_means_beyond_float_range_rejected(self, top):
+        records = _records([top] * 4 + [5e-324] * 6)
+        with pytest.raises(ConfigError, match="Grass"):
+            yield_group_stats(assign_groups(records)["Grass"], records)
+
+    @given(st.lists(st.floats(), min_size=5, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_or_returns_finite_percentages(self, yields):
+        records = _records(yields)
+        try:
+            stats = [yield_group_stats(a, records) for a in assign_groups(records).values()]
+        except ConfigError:
+            usable = all(0.0 < y < 1e300 for y in yields) and max(yields) / min(yields) < 1e300
+            assert not usable, "rejected yields that group to finite percentages"
+            return
+        assert all(isfinite(p) for s in stats for p in s.pcts)
 
 # --- group yield stats ----------------------------------------------------------
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+import agridw.catalog as catalog_module
 from agridw.catalog import (
     AttributeDef,
     Catalog,
@@ -18,6 +21,7 @@ from agridw.catalog import (
     validate_catalog,
 )
 from agridw.errors import CatalogParseError
+from agridw.store import open_store
 
 # Expected attribute list per builtin dimension table.
 DIMENSION_ATTRIBUTES = {
@@ -133,7 +137,7 @@ class TestSerialization:
         assert serialize_catalog(loaded) == serialize_catalog(catalog)
         assert catalog_digest(loaded) == catalog_digest(catalog)
 
-    def test_shipped_data_file_matches_programmatic(self, catalog):
+    def test_shipped_data_file_is_canonical(self, catalog):
         data = resources.files("agridw").joinpath("data/builtin_catalog.json").read_bytes()
         assert data == serialize_catalog(catalog).encode("utf-8")
 
@@ -245,3 +249,39 @@ class TestValidation:
             permuted = Catalog(version=catalog.version, tables={n: catalog.tables[n] for n in names})
             assert validate_catalog(permuted) == validate_catalog(catalog)
             assert catalog_digest(permuted) == catalog_digest(catalog)
+
+
+class TestBuiltinLoading:
+    def _load_from(self, monkeypatch, root, doc):
+        (root / "data").mkdir()
+        (root / "data" / "builtin_catalog.json").write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(catalog_module, "resources", SimpleNamespace(files=lambda package: root))
+        return builtin_catalog.__wrapped__()  # bypass the per-process cache
+
+    def test_loaded_once_per_process(self):
+        assert builtin_catalog() is builtin_catalog()
+
+    def test_broken_shipped_file_names_first_violation(self, monkeypatch, tmp_path, catalog):
+        doc = json.loads(serialize_catalog(catalog))
+        crop = next(t for t in doc["tables"] if t["name"] == "Crop")
+        crop["natural_key"] = ["CropID", "Missing"]
+        with pytest.raises(CatalogParseError, match=r"unknown-natural-key.*Crop\.Missing"):
+            self._load_from(monkeypatch, tmp_path, doc)
+
+
+class TestDigest:
+    def test_computed_once_per_catalog(self, monkeypatch, tmp_path, catalog):
+        expected = catalog_digest(catalog)
+        fresh = Catalog(version=catalog.version, tables=catalog.tables)
+        calls = []
+        real = catalog_module.serialize_catalog
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(catalog_module, "serialize_catalog", counting)
+        first = open_store(tmp_path / "store", fresh)
+        second = open_store(tmp_path / "store", fresh)
+        assert first.catalog_digest == second.catalog_digest == expected
+        assert calls == [fresh]

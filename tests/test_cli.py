@@ -293,6 +293,13 @@ class TestSynth:
         assert main(["synth", "--config", config, "--out", b, "--seed", "99"]) == 0
         assert (Path(a) / "fieldfact.csv").read_bytes() != (Path(b) / "fieldfact.csv").read_bytes()
 
+    def test_seed_override_keeps_every_other_field(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["synth", "--config", _synth_config(tmp_path), "--out", a, "--seed", "99"]) == 0
+        assert main(["synth", "--config", _synth_config(tmp_path, seed=99), "--out", b]) == 0
+        for name in ("crops.csv", "fields.csv", "soil.csv", "fieldfact.csv", "truth.json"):
+            assert (Path(a) / name).read_bytes() == (Path(b) / name).read_bytes()
+
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         doc = {"seed": 1, "records_per_crop": 10,
                "crops": [{"name": "X", "base_yield": 10.0,

@@ -127,6 +127,23 @@ class TestFactorSeries:
         assert keys == sorted(keys)
 
 
+    def test_json_format_one_object_per_csv_row(self, tmp_path):
+        stats = [_factor_stats(crop="Zeta"), _factor_stats(crop="Alpha", factor="herbicide")]
+        csv_lines = emit_factor_series(stats, tmp_path / "series.csv").read_text().splitlines()
+        path = emit_factor_series(stats, tmp_path / "series.json", FORMAT_JSON)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        assert [(d["crop"], d["factor"], d["group"], d["count"]) for d in doc] == [
+            (c, f, int(g), int(n)) for c, f, g, _, n, _ in (line.split(",") for line in csv_lines[1:])
+        ]
+        assert doc[0] == {"crop": "Alpha", "factor": "herbicide", "group": 1, "mean": 6.0, "count": 4, "sd": 0.1}
+        assert doc[4] == {"crop": "Alpha", "factor": "herbicide", "group": 5, "mean": None, "count": 0, "sd": None}
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ConfigError):
+            emit_factor_series([_factor_stats()], tmp_path / "series.md", FORMAT_MARKDOWN)
+
 class TestFindings:
     def test_json_round_trip(self, tmp_path):
         findings = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import tempfile
@@ -120,6 +121,20 @@ class TestFormat:
                     open_store(store_dir, CATALOG)
             path.write_bytes(data)
         open_store(store_dir, CATALOG)
+
+    def test_text_needing_quotes_survives_flush_and_reopen(self, store_dir):
+        texts = ['say "hi"', "a,b", "two\nlines", "carriage\rreturn", 'all "of",\r\n them']
+        rows = [{**_crop(f"C{i}", text), "ScienName": text} for i, text in enumerate(texts, 1)]
+        store = open_store(store_dir, CATALOG)
+        for row in rows:
+            store.upsert_dimension("Crop", row)
+        store.flush()
+        reopened = open_store(store_dir, CATALOG).snapshot().rows("Crop")
+        assert [{k: v for k, v in r.items() if k != "sk"} for r in reopened] == rows
+        # independent oracle: the stdlib reader sees the same cells in the file
+        with open(Path(store_dir) / "Crop" / "data.csv", newline="", encoding="utf-8") as handle:
+            records = list(csv.DictReader(handle))
+        assert [(r["CropName"], r["ScienName"]) for r in records] == [(t, t) for t in texts]
 
     def test_undecodable_cell_under_a_matching_digest_is_a_store_error(self, store_dir):
         _small_store(store_dir)
