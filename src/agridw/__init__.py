@@ -16,7 +16,6 @@ from .etl import (
     MappingSpec,
     RejectRecord,
     SourceDescriptor,
-    apply_mapping,
     convert_unit,
     load_mapping,
     normalize_synonym,

@@ -177,7 +177,7 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
     the fact's own measures; anything unjoined or unset stays absent. Crop
     names are harmonized through the builtin synonym table when possible.
     """
-    from .etl import builtin_crop_synonyms
+    from .etl import builtin_crop_synonyms, normalize_synonym
 
     table = synonyms if synonyms is not None else builtin_crop_synonyms()
     records: list[YieldRecord] = []
@@ -189,7 +189,7 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
         if crop_row is None:
             continue
         raw_name = str(crop_row.get("CropName"))
-        crop = table.get(raw_name.strip().lower(), raw_name)
+        crop = normalize_synonym(raw_name, table) or raw_name
 
         field_row = _dimension_row(snapshot, "Field", fact.get("FieldKey"))
         field_id = str(field_row["FieldID"]) if field_row and "FieldID" in field_row else None
@@ -303,7 +303,11 @@ def yield_group_stats(assignment: GroupAssignment, records: Iterable[YieldRecord
 def factor_group_means(
     assignment: GroupAssignment, records: Iterable[YieldRecord], factor: str
 ) -> FactorGroupStats:
-    """Per-group mean/sd/count of one factor, skipping records where it is absent."""
+    """Per-group mean/sd/count of one factor, skipping records where it is absent.
+
+    A value that is not finite raises ConfigError naming the record, and values
+    too large to average or spread raise ConfigError naming the crop.
+    """
     if factor not in FACTORS:
         raise ConfigError(f"unknown factor {factor!r}; expected one of {', '.join(FACTORS)}")
     values = {r.record_id: r.factors.get(factor) for r in records}
@@ -311,17 +315,24 @@ def factor_group_means(
     for record_id, label in zip(assignment.record_ids, assignment.labels):
         value = values.get(record_id)
         if value is not None:
+            if not isfinite(value):
+                raise ConfigError(f"record {record_id}: factor {factor} value {value!r} is not a finite number")
             per_group[label - 1].append(value)
     means: list[float | None] = []
     sds: list[float | None] = []
-    for vals in per_group:
-        if not vals:
-            means.append(None)
-            sds.append(None)
-            continue
-        m = _mean(vals)
-        means.append(m)
-        sds.append(sqrt(_sample_variance(vals, m)) if len(vals) >= 2 else None)
+    try:
+        for vals in per_group:
+            if not vals:
+                means.append(None)
+                sds.append(None)
+                continue
+            m = _mean(vals)
+            means.append(m)
+            sds.append(sqrt(_sample_variance(vals, m)) if len(vals) >= 2 else None)
+        if inf in sds:
+            raise OverflowError
+    except OverflowError:
+        raise ConfigError(f"crop {assignment.crop!r}: factor {factor} values too large to average") from None
     return FactorGroupStats(
         crop=assignment.crop,
         factor=factor,

@@ -378,20 +378,6 @@ def load_mapping(path: str | Path) -> MappingSpec:
     return mapping_from_dict(doc)
 
 
-def mapping_to_dict(spec: MappingSpec) -> dict:
-    return {
-        "target_table": spec.target_table,
-        "bindings": [
-            {
-                "source": b.source,
-                "target": b.target,
-                "transforms": [{"op": t.op, **t.params} for t in b.transforms],
-            }
-            for b in spec.bindings
-        ],
-    }
-
-
 def validate_mapping(
     spec: MappingSpec,
     catalog: Catalog,
@@ -491,7 +477,7 @@ def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Ca
         def lookup(v):
             if v is None:
                 return None
-            hit = table.get(str(v).strip().lower())
+            hit = normalize_synonym(str(v), table)
             if hit is None:
                 raise _BindingFailure(REASON_SYNONYM)
             return hit
@@ -558,6 +544,11 @@ class CompiledMapping:
                             source=row.source, row=row.number, binding=attr.name,
                             reason=REASON_RANGE, raw=row.raw,
                         )
+                if not isfinite(value):  # e.g. a unit conversion that overflowed
+                    return RejectRecord(
+                        source=row.source, row=row.number, binding=attr.name,
+                        reason=REASON_TYPE, raw=row.raw,
+                    )
             else:
                 if not isinstance(value, str):
                     return RejectRecord(
@@ -566,16 +557,6 @@ class CompiledMapping:
                     )
             typed[attr.name] = value
         return typed
-
-
-def apply_mapping(
-    row: RawRow,
-    spec: MappingSpec,
-    catalog: Catalog,
-    synonyms: Mapping[str, SynonymTable] | None = None,
-) -> dict | RejectRecord:
-    """Transform one raw row; any failure yields a RejectRecord for the first failing binding."""
-    return CompiledMapping(spec, catalog, synonyms).apply(row)
 
 
 # --- pipeline ---------------------------------------------------------------

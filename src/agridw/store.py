@@ -51,68 +51,74 @@ def _blake2b64(data: bytes):
 
 
 class _TableState:
-    """In-memory rows plus the streaming digest over the table's file bytes."""
+    """In-memory rows plus the streaming digest over the table's file bytes.
+
+    ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
+    ``sk`` first for dimensions. ``encode`` (writes) and ``Store._parse_rows``
+    (reopen) both follow it, so every kept row is the row reopen parses back.
+    """
 
     __slots__ = (
         "table", "rows", "digest_state", "pending", "by_natural", "by_leading",
-        "columns", "_layout", "_is_dim",
+        "plan", "columns", "_is_dim",
     )
 
     def __init__(self, table: TableDef):
         self.table = table
         self.rows: list[dict] = []
         self._is_dim = table.role == "dimension"
-        self.columns = ([SK_COLUMN] if self._is_dim else []) + [a.name for a in table.attributes]
-        self._layout = [(a.name, a.kind) for a in table.attributes]
+        self.plan = ([(SK_COLUMN, "surrogate-key", int)] if self._is_dim else []) + [
+            (a.name, a.kind, _DECODERS.get(a.kind, str)) for a in table.attributes
+        ]
+        self.columns = [name for name, _, _ in self.plan]
         header = csv_line(self.columns).encode("utf-8")
         self.digest_state = _blake2b64(header)
         self.pending: list[bytes] = [header]
         self.by_natural: dict[tuple, int] = {}
         self.by_leading: dict[str, int] = {}
 
-    def append(self, row: dict) -> None:
+    def encode(self, row: Mapping) -> tuple[bytes, dict]:
+        """Check ``row`` against the plan: its ``data.csv`` line and the row kept.
+
+        The kept row holds each cell as reopen decodes it (numbers pass through
+        ``format_decimal``) and omits absent values. A dimension row's ``sk``
+        must be its 1-based position.
+        """
         get = row.get
-        values = [str(row[SK_COLUMN])] if self._is_dim else []
-        push = values.append
-        for name, kind in self._layout:
+        cells: list[str] = []
+        push = cells.append
+        kept: dict = {}
+        for name, kind, decode in self.plan:
             value = get(name)
             if value is None:
                 push("")
             elif kind == "number":
-                push(format_decimal(value))
-            elif kind == "foreign-key":
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+                    raise StoreTypeError(f"{self.table.name}.{name}: expected a finite number")
+                text = format_decimal(value)
+                push(text)
+                kept[name] = float(text)
+            elif decode is int:  # foreign keys and sk
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise StoreTypeError(f"{self.table.name}.{name}: keys are integers")
                 push(str(value))
+                kept[name] = value
             else:
+                if not isinstance(value, str) or value == "":
+                    raise StoreTypeError(f"{self.table.name}.{name}: expected non-empty text")
                 push(csv_field(value))  # numbers and keys never need quoting
-        line = (",".join(values) + "\n").encode("utf-8")
-        self.digest_state.update(line)
-        self.pending.append(line)
-        self.rows.append(row)
+                kept[name] = value
+        if len(kept) != len(row):  # absent values, or keys outside the plan
+            for key in row:
+                if key not in self.columns:
+                    raise StoreTypeError(f"{self.table.name}: unknown attribute {key!r}")
+        if self._is_dim and kept.get(SK_COLUMN) != len(self.rows) + 1:
+            raise StoreTypeError(f"{self.table.name}: {SK_COLUMN} {get(SK_COLUMN)!r} is not the row position {len(self.rows) + 1}")
+        return (",".join(cells) + "\n").encode("utf-8"), kept
 
     @property
     def digest(self) -> str:
         return self.digest_state.hexdigest()
-
-
-def _check_typed(table: TableDef, row: Mapping, *, allow_sk: bool = False) -> None:
-    attr_map = table.attribute_map
-    for key, value in row.items():
-        if key == SK_COLUMN and allow_sk:
-            continue
-        attr = attr_map.get(key)
-        if attr is None:
-            raise StoreTypeError(f"{table.name}: unknown attribute {key!r}")
-        if value is None:
-            continue
-        if attr.kind == "foreign-key":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise StoreTypeError(f"{table.name}.{key}: foreign keys are integers")
-        elif attr.kind == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
-                raise StoreTypeError(f"{table.name}.{key}: expected a finite number")
-        else:
-            if not isinstance(value, str) or value == "":
-                raise StoreTypeError(f"{table.name}.{key}: expected non-empty text")
 
 
 class Store:
@@ -182,9 +188,7 @@ class Store:
                 raise StoreError(f"table {table.name!r}: empty data file")
             if header != state.columns:
                 raise StoreError(f"table {table.name!r}: unexpected columns {header!r}")
-            decoders = ([(SK_COLUMN, int)] if state._is_dim else []) + [
-                (a.name, _DECODERS.get(a.kind, str)) for a in table.attributes
-            ]
+            decoders = [(name, decode) for name, _, decode in state.plan]
             rows = [
                 {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
                 for record in reader
@@ -245,16 +249,6 @@ class Store:
 
     # -- writes -----------------------------------------------------------
 
-    def _state(self, table_name: str) -> _TableState:
-        state = self._tables.get(table_name)
-        if state is None:
-            table = self.catalog.table(table_name)
-            if table is None:
-                raise StoreError(f"unknown table {table_name!r}")
-            state = _TableState(table)
-            self._tables[table_name] = state
-        return state
-
     def row_count(self, table_name: str) -> int:
         state = self._tables.get(table_name)
         return len(state.rows) if state else 0
@@ -264,23 +258,27 @@ class Store:
         table = self.catalog.table(table_name)
         if table is None or table.role != "dimension":
             raise StoreError(f"{table_name!r} is not a dimension table")
-        _check_typed(table, row)
+        if SK_COLUMN in row:
+            raise StoreTypeError(f"{table_name}: the store assigns {SK_COLUMN!r}")
+        state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
+        sk = len(state.rows) + 1
+        line, kept = state.encode({SK_COLUMN: sk, **row})
         natural = []
         for part in table.natural_key:
-            value = row.get(part)
+            value = kept.get(part)
             if value is None:
                 raise StoreTypeError(f"{table_name}: natural key part {part!r} is missing")
             natural.append(str(value))
-        state = self._state(table_name)
         key = tuple(natural)
         existing = state.by_natural.get(key)
         if existing is not None:
             return existing
-        sk = len(state.rows) + 1
-        stored = {SK_COLUMN: sk, **{k: v for k, v in row.items() if v is not None}}
         state.by_natural[key] = sk
         state.by_leading.setdefault(natural[0], sk)
-        state.append(stored)
+        state.digest_state.update(line)
+        state.pending.append(line)
+        state.rows.append(kept)
+        self._tables[table_name] = state
         return sk
 
     def resolve_dimension(self, table_name: str, leading_key: str) -> int | None:
@@ -291,28 +289,29 @@ class Store:
         return state.by_leading.get(leading_key)
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
-        """Append a batch atomically; any dangling key rejects the whole batch."""
+        """Append a batch atomically; a mistyped row or a dangling key rejects the whole batch."""
         table = self.catalog.table(table_name)
         if table is None or table.role != "fact":
             raise StoreError(f"{table_name!r} is not a fact table")
+        state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
+        encoded = [state.encode(row) for row in rows]
         fk_limits = [
             (a.name, a.references, self.row_count(a.references))
             for a in table.attributes
             if a.kind == "foreign-key"
         ]
-        for row in rows:
-            _check_typed(table, row)
+        for _, kept in encoded:
             for name, ref, limit in fk_limits:
-                value = row.get(name)
-                if value is None:
-                    continue
-                if not 1 <= value <= limit:
+                value = kept.get(name)
+                if value is not None and not 1 <= value <= limit:
                     raise DanglingKeyError(
                         f"{table_name}.{name}={value} does not resolve in {ref!r}"
                     )
-        state = self._state(table_name)
-        for row in rows:
-            state.append({k: v for k, v in row.items() if v is not None})
+        data = b"".join(line for line, _ in encoded)
+        state.digest_state.update(data)
+        state.pending.append(data)
+        state.rows.extend(kept for _, kept in encoded)
+        self._tables[table_name] = state
         return len(rows)
 
     # -- reads ------------------------------------------------------------
@@ -359,7 +358,7 @@ class Snapshot:
 
     @classmethod
     def from_tables(cls, catalog: Catalog, tables: Mapping[str, Sequence[Mapping]]) -> "Snapshot":
-        """Build an in-memory snapshot, computing digests as the store would."""
+        """Build an in-memory snapshot as the store would; a dimension row's ``sk`` is its position."""
         frozen: dict[str, tuple[Mapping, ...]] = {}
         digests: dict[str, str] = {}
         for name, rows in tables.items():
@@ -368,9 +367,10 @@ class Snapshot:
                 raise StoreError(f"unknown table {name!r}")
             state = _TableState(table)
             for row in rows:
-                _check_typed(table, row, allow_sk=True)
-                state.append(dict(row))
-            frozen[name] = tuple(dict(r) for r in state.rows)
+                line, kept = state.encode(row)
+                state.digest_state.update(line)
+                state.rows.append(kept)
+            frozen[name] = tuple(state.rows)
             digests[name] = state.digest
         return cls(catalog=catalog, tables=frozen, table_digests=digests)
 
@@ -421,9 +421,6 @@ class QuerySpec:
 class ResultTable:
     columns: tuple[str, ...]
     rows: list[tuple]
-
-    def sorted_rows(self) -> list[tuple]:
-        return sorted(self.rows, key=lambda row: tuple((v is None, 0 if v is None else v) for v in row))
 
 
 def _filter_passes(filters, row: Mapping) -> bool:

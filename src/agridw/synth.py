@@ -40,8 +40,6 @@ YIELD_FLOOR = 0.001  # ton/ha; yields are clamped strictly positive
 
 RNG_ALGORITHM = "mersenne-twister (CPython random), per-crop substream seed = fnv1a64('<seed>:<crop name>')"
 
-SOURCE_FILES = ("crops.csv", "fields.csv", "soil.csv", "fieldfact.csv")
-
 
 @dataclass(frozen=True)
 class FactorEffect:

@@ -10,6 +10,7 @@ import random
 from math import fsum
 
 from agridw.catalog import AttributeDef, Catalog, TableDef
+from agridw.etl import CompiledMapping
 from agridw.store import EqFilter, QuerySpec, RangeFilter, Snapshot
 
 # Mean crop yield (ton/ha) and percent vs group 3 for the 12 crops, groups 1-5.
@@ -27,6 +28,11 @@ GROUP_TABLE_ROWS = {
     "Wheat S.": [(7.20, 27.9), (6.52, 15.8), (5.63, 0.0), (4.73, -16.0), (1.94, -65.6)],
     "Wheat W.": [(11.74, 25.9), (10.22, 9.6), (9.32, 0.0), (8.55, -8.3), (6.83, -26.7)],
 }
+
+
+def apply_mapping(row, spec, catalog, synonyms=None):
+    """Compile ``spec`` and transform one raw row: typed dict, or the first binding's RejectRecord."""
+    return CompiledMapping(spec, catalog, synonyms).apply(row)
 
 
 # --- independent star-join oracle -------------------------------------------

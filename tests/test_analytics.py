@@ -153,6 +153,36 @@ class TestRejectsUngroupableYields:
             return
         assert all(isfinite(p) for s in stats for p in s.pcts)
 
+
+class TestRejectsNonFiniteFactors:
+    @pytest.mark.parametrize("bad", [nan, inf, -inf])
+    def test_non_finite_factor_value_rejected_naming_record_and_factor(self, bad):
+        factors = [{"soil_ph": bad if i % 2 else 6.0 + i / 100} for i in range(40)]
+        records = _records([float(40 - i) for i in range(40)], factors=factors)
+        with pytest.raises(ConfigError, match="record 2: factor soil_ph"):
+            factor_group_means(assign_groups(records)["Grass"], records, "soil_ph")
+        with pytest.raises(ConfigError, match="record 2: factor soil_ph"):
+            mine_optima_from_records(records)
+
+    @given(st.lists(st.one_of(st.none(), st.floats()), min_size=5, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_or_returns_finite_factor_means(self, values):
+        records = _records(
+            [float(len(values) - i) for i in range(len(values))],
+            factors=[{} if v is None else {"herbicide": v} for v in values],
+        )
+        assignment = assign_groups(records)["Grass"]
+        try:
+            stats = factor_group_means(assignment, records, "herbicide")
+        except ConfigError:
+            present = [v for v in values if v is not None]
+            usable = all(abs(v) < 1e150 for v in present)  # NaN fails too
+            assert not usable, "rejected factor values whose means and sds fit in a float"
+            return
+        assert all(isfinite(x) for x in stats.means + stats.sds if x is not None)
+        mine_optima_from_records(records)
+
+
 # --- group yield stats ----------------------------------------------------------
 
 class TestYieldGroupStats:

@@ -16,7 +16,6 @@ from agridw.etl import (
     RejectRecord,
     SourceDescriptor,
     STRUCTURAL_BINDING,
-    apply_mapping,
     builtin_crop_synonyms,
     convert_unit,
     mapping_from_dict,
@@ -27,6 +26,7 @@ from agridw.etl import (
     write_reject_ledger,
 )
 from agridw.store import open_store
+from helpers import apply_mapping
 
 CATALOG = builtin_catalog()
 
@@ -474,6 +474,28 @@ class TestRunPipeline:
         d2, l2 = run("s2")
         assert d1 == d2
         assert l1 == l2
+
+    def test_number_overflowing_its_unit_conversion_is_a_reject(self, tmp_path, catalog, store_dir):
+        crops = _write(tmp_path, "crops.csv", "crop_id,crop_name\nC1,Grass\n")
+        facts = _write(tmp_path, "facts.csv", "crop_id,herb\nC1,1e306\nC1,2.5\n")
+        herb_mapping = {
+            "target_table": "FieldFact",
+            "bindings": [
+                {"source": "crop_id", "target": "CropKey", "transforms": [{"op": "rename"}]},
+                {"source": "herb", "target": "HerbicideQty", "transforms": [
+                    {"op": "parse-number"}, {"op": "unit-convert", "from": "t/ha", "to": "kg/ha"},
+                ]},
+            ],
+        }
+        sources = [
+            (SourceDescriptor(path=crops), mapping_from_dict(CROP_MAPPING)),
+            (SourceDescriptor(path=facts), mapping_from_dict(herb_mapping)),
+        ]
+        store = open_store(store_dir, catalog)
+        report = run_pipeline(sources, catalog, store)
+        assert [(r.row, r.binding, r.reason) for r in report.rejects] == [(1, "HerbicideQty", "type-error")]
+        assert report.tables["FieldFact"].rows_accepted == 1
+        assert [r["HerbicideQty"] for r in open_store(store_dir, catalog).snapshot().rows("FieldFact")] == [2500.0]
 
     def test_reject_ledger_columns(self, tmp_path):
         rejects = [RejectRecord(source="s.csv", row=3, binding="PH", reason="range-error", raw="S1,12")]

@@ -223,7 +223,98 @@ def test_streaming_digest_equals_one_shot_blake2b_of_the_file(steps):
         }
 
 
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-7, 8.1234567, 5e-324, -5e-324, 2.5e-7, 1e300, -0.0]),
+    st.integers(-(2**63), 2**63),
+)
+_QUOTED_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\nü'), min_size=1, max_size=8)
+_TYPED_CROP = st.fixed_dictionaries(
+    {"CropName": _QUOTED_TEXT},
+    optional={"EstYield": _NUMBER, "ScienName": st.one_of(_QUOTED_TEXT, st.text(min_size=1, max_size=8))},
+)
+_TYPED_FACT = st.fixed_dictionaries(
+    {"CropKey": st.integers(1, 3)},
+    optional={"YieldValue": _NUMBER, "HerbicideQty": _NUMBER},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crops=st.lists(_TYPED_CROP, min_size=1, max_size=3), facts=st.lists(_TYPED_FACT, max_size=6))
+def test_live_reopened_and_rebuilt_snapshots_are_equal(crops, facts):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = open_store(Path(tmp) / "store", CATALOG)
+        for i, crop in enumerate(crops, 1):
+            store.upsert_dimension("Crop", {"CropID": f"C{i}", **crop})
+        store.insert_facts("FieldFact", [f for f in facts if f["CropKey"] <= len(crops)])
+        store.flush()
+        live = store.snapshot()
+        reopened = open_store(Path(tmp) / "store", CATALOG).snapshot()
+        rebuilt = Snapshot.from_tables(CATALOG, live.tables)
+        assert reopened.tables == live.tables
+        assert rebuilt.tables == live.tables
+        assert reopened.table_digests == live.table_digests == rebuilt.table_digests
+        assert reopened.digest == live.digest == rebuilt.digest
+
+
+class TestKeptRows:
+    def test_numbers_are_kept_as_the_file_holds_them(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        store.insert_facts("FieldFact", [{"CropKey": 1, "YieldValue": 8.1234567}, {"CropKey": 1, "YieldValue": 1e-7}])
+        store.flush()
+        live = store.snapshot()
+        assert [r["YieldValue"] for r in live.rows("FieldFact")] == [8.123457, 0.0]
+        assert open_store(store_dir, CATALOG).snapshot().tables == live.tables
+
+    def test_mistyped_row_rejects_the_whole_fact_batch(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        rows = [{"CropKey": 1, "YieldValue": 8.0}, {"CropKey": 1, "YieldValue": "9"}]
+        with pytest.raises(StoreTypeError, match="FieldFact.YieldValue"):
+            store.insert_facts("FieldFact", rows)
+        assert store.row_count("FieldFact") == 0
+        assert "FieldFact" not in store.snapshot().tables
+
+
+class TestFromTablesKeys:
+    @pytest.mark.parametrize(
+        "sks",
+        [[2, 1], [1, 3], [0], [1, 1], [None], ["1"], [True]],
+        ids=["reordered", "gapped", "zero", "repeated", "missing", "text", "bool"],
+    )
+    def test_dimension_rows_need_sk_equal_to_position(self, sks):
+        rows = [{**_crop(f"C{i}", f"Crop {i}"), "sk": sk} for i, sk in enumerate(sks, 1)]
+        for row in rows:
+            if row["sk"] is None:
+                del row["sk"]
+        with pytest.raises(StoreTypeError, match="Crop"):
+            Snapshot.from_tables(CATALOG, {"Crop": rows})
+
+    def test_sk_on_a_fact_row_is_refused(self):
+        with pytest.raises(StoreTypeError, match="FieldFact"):
+            Snapshot.from_tables(CATALOG, {"FieldFact": [{"sk": 1, "YieldValue": 8.0}]})
+
+    def test_dense_sk_is_accepted(self):
+        rows = [{"sk": 1, **_crop("C1", "Grass")}, {"sk": 2, **_crop("C2", "Winter Rye")}]
+        assert Snapshot.from_tables(CATALOG, {"Crop": rows}).rows("Crop") == tuple(rows)
+
+
 class TestUpsert:
+    def test_caller_supplied_sk_is_refused(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        for sk in (1, 7):
+            with pytest.raises(StoreTypeError, match="Crop"):
+                store.upsert_dimension("Crop", {"sk": sk, **_crop("C1", "Grass")})
+        assert store.row_count("Crop") == 0
+
+    def test_mistyped_duplicate_is_refused(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        with pytest.raises(StoreTypeError, match="Crop.EstYield"):
+            store.upsert_dimension("Crop", {**_crop("C1", "Grass"), "EstYield": "lots"})
+        assert store.row_count("Crop") == 1
+
     def test_idempotent_same_key(self, store_dir):
         store = open_store(store_dir, CATALOG)
         first = store.upsert_dimension("Crop", _crop("C1", "Grass"))
