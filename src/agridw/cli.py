@@ -130,14 +130,15 @@ def _cmd_store_verify(args) -> int:
     if not (path / MANIFEST_NAME).is_file():
         raise StoreError(f"no store manifest in {path}")
     store = open_store(path, catalog)
+    snapshot = store.snapshot()  # open checks digests and headers; this decodes every cell
     upgrade = ""
     if store.manifest_version != MANIFEST_VERSION:
         upgrade = f" (verified; the next write upgrades it to {MANIFEST_VERSION} with the digests below)"
     print(f"manifest version {store.manifest_version}{upgrade}")
-    names = sorted(name for name in catalog.tables if store.table_digest(name) is not None)
+    names = sorted(snapshot.table_digests)
     for name in names:
         size = (path / name / DATA_NAME).stat().st_size
-        print(f"{name}: {store.row_count(name)} rows, {size} bytes, digest {store.table_digest(name)}")
+        print(f"{name}: {len(snapshot.rows(name))} rows, {size} bytes, digest {snapshot.table_digests[name]}")
     print(f"store ok: {len(names)} tables verified")
     return 0
 

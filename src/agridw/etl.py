@@ -611,8 +611,7 @@ def run_pipeline(
                     continue
                 if not table.is_fact:
                     before = store.row_count(table.name)
-                    store.upsert_dimension(table.name, typed)
-                    if store.row_count(table.name) > before:
+                    if store.upsert_dimension(table.name, typed) > before:
                         stats.upserts_new += 1
                     else:
                         stats.upserts_deduped += 1

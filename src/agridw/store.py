@@ -16,9 +16,11 @@ import hashlib
 import io
 import json
 import os
+import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import fsum, isfinite
+from math import fsum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -44,6 +46,11 @@ V1_MANIFEST = 1  # FNV-1a 64-bit table digests; read, never written
 AGGREGATE_OPS = ("count", "sum", "mean", "min", "max")
 
 _DECODERS = {"foreign-key": int, "number": float}
+_FLOAT_MAX = sys.float_info.max  # compared with, since isfinite raises OverflowError on an int beyond float range
+# Kinds whose cells are bare digits, signs, points and commas: every byte
+# ``format_decimal`` and ``str(int)`` emit, never a quote or a newline.
+_KEY_AND_NUMBER_KINDS = frozenset({"surrogate-key", "foreign-key", "number"})
+_KEY_AND_NUMBER_BODY = re.compile(rb"[-0-9.,\n]*")
 
 
 def _blake2b64(data: bytes):
@@ -51,31 +58,114 @@ def _blake2b64(data: bytes):
 
 
 class _TableState:
-    """In-memory rows plus the streaming digest over the table's file bytes.
+    """One table: verified ``data.csv`` bytes parsed on first use, then the rows
+    this process appended, plus the streaming digest over the file bytes.
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
-    ``sk`` first for dimensions. ``encode`` (writes) and ``Store._parse_rows``
-    (reopen) both follow it, so every kept row is the row reopen parses back.
+    ``sk`` first for dimensions. ``encode`` (writes), ``index`` and ``rows``
+    (reads) all follow it, so every appended row is the row a reopen parses.
+    ``prefix`` holds the file's rows as they were at open, ``prefix_rows``
+    their count as the manifest records it and ``checked`` whether the bytes
+    have confirmed that count; ``tail`` holds the rows appended since.
     """
 
     __slots__ = (
-        "table", "rows", "digest_state", "pending", "by_natural", "by_leading",
-        "plan", "columns", "_is_dim",
+        "table", "plan", "columns", "header", "_is_dim", "digest_state", "pending",
+        "prefix", "prefix_rows", "checked", "tail", "by_natural", "by_leading",
     )
 
     def __init__(self, table: TableDef):
         self.table = table
-        self.rows: list[dict] = []
         self._is_dim = table.role == "dimension"
         self.plan = ([(SK_COLUMN, "surrogate-key", int)] if self._is_dim else []) + [
             (a.name, a.kind, _DECODERS.get(a.kind, str)) for a in table.attributes
         ]
         self.columns = [name for name, _, _ in self.plan]
-        header = csv_line(self.columns).encode("utf-8")
-        self.digest_state = _blake2b64(header)
-        self.pending: list[bytes] = [header]
-        self.by_natural: dict[tuple, int] = {}
-        self.by_leading: dict[str, int] = {}
+        self.header = csv_line(self.columns).encode("utf-8")
+        self.digest_state = _blake2b64(self.header)
+        self.pending: list[bytes] = [self.header]
+        self.prefix = b""
+        self.prefix_rows = 0
+        self.checked = True
+        self.tail: list[dict] = []
+        # None until ``index`` has read the prefix
+        self.by_natural: dict[tuple, int] | None = {}
+        self.by_leading: dict[str, int] | None = {}
+
+    @property
+    def count(self) -> int:
+        return self.prefix_rows + len(self.tail)
+
+    def load(self, data: bytes, rows: object) -> None:
+        """Keep verified file bytes unparsed. Checks the header, and for a table
+        of keys and numbers alone every byte and the row count."""
+        name = self.table.name
+        if not data.startswith(self.header):
+            raise StoreError(f"table {name!r}: unexpected header {data[:len(self.header)]!r}")
+        if type(rows) is not int:
+            raise StoreError(f"table {name!r} row count mismatch")
+        self.prefix = data[len(self.header):]
+        self.prefix_rows = rows
+        self.pending = []
+        self.checked = False
+        self.by_natural = self.by_leading = None
+        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.plan):
+            # no cell can be quoted or hold a newline, so a line is a row
+            if _KEY_AND_NUMBER_BODY.fullmatch(self.prefix) is None:
+                raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
+            self._check_count(self.prefix.count(b"\n"))
+
+    def _check_count(self, rows: int) -> None:
+        if rows != self.prefix_rows:
+            raise StoreError(f"table {self.table.name!r} row count mismatch")
+        self.checked = True
+
+    @contextmanager
+    def _reading(self) -> Iterator[Iterator[list[str]]]:
+        """The prefix's records; a cell that does not decode, or a record short of a
+        natural-key column, is a StoreError naming the table."""
+        try:
+            yield csv.reader(io.StringIO(self.prefix.decode("utf-8")))
+        except (ValueError, IndexError, csv.Error) as exc:
+            raise StoreError(f"table {self.table.name!r}: unreadable data file: {exc}") from exc
+
+    def index(self) -> None:
+        """Build the natural-key indexes from the natural-key columns alone and
+        check the row count; the ``sk`` of a row is its position."""
+        if self.by_natural is not None:
+            return
+        columns = []
+        with self._reading() as records:
+            records = list(records)
+            for part in self.table.natural_key:
+                i = self.columns.index(part)
+                decode = self.plan[i][2]
+                cells = [record[i] for record in records]
+                columns.append(cells if decode is str else [str(decode(cell)) for cell in cells])
+        self._check_count(len(records))
+        by_natural: dict[tuple, int] = {}
+        by_leading: dict[str, int] = {}
+        for sk, key in enumerate(zip(*columns), 1):
+            by_natural.setdefault(key, sk)
+            by_leading.setdefault(key[0], sk)
+        self.by_natural, self.by_leading = by_natural, by_leading
+
+    def rows(self) -> tuple[dict, ...]:
+        """Every row: the prefix parsed in full, then copies of the tail. Checks the row count."""
+        decoders = [(name, decode) for name, _, decode in self.plan]
+        with self._reading() as records:
+            rows = [
+                {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
+                for record in records
+            ]
+        self._check_count(len(rows))
+        rows.extend(dict(row) for row in self.tail)
+        return tuple(rows)
+
+    def append(self, data: bytes, kept: Sequence[dict]) -> None:
+        self.digest_state.update(data)
+        self.pending.append(data)
+        self.tail.extend(kept)
 
     def encode(self, row: Mapping) -> tuple[bytes, dict]:
         """Check ``row`` against the plan: its ``data.csv`` line and the row kept.
@@ -93,7 +183,7 @@ class _TableState:
             if value is None:
                 push("")
             elif kind == "number":
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                     raise StoreTypeError(f"{self.table.name}.{name}: expected a finite number")
                 text = format_decimal(value)
                 push(text)
@@ -112,8 +202,8 @@ class _TableState:
             for key in row:
                 if key not in self.columns:
                     raise StoreTypeError(f"{self.table.name}: unknown attribute {key!r}")
-        if self._is_dim and kept.get(SK_COLUMN) != len(self.rows) + 1:
-            raise StoreTypeError(f"{self.table.name}: {SK_COLUMN} {get(SK_COLUMN)!r} is not the row position {len(self.rows) + 1}")
+        if self._is_dim and kept.get(SK_COLUMN) != self.count + 1:
+            raise StoreTypeError(f"{self.table.name}: {SK_COLUMN} {get(SK_COLUMN)!r} is not the row position {self.count + 1}")
         return (",".join(cells) + "\n").encode("utf-8"), kept
 
     @property
@@ -174,42 +264,14 @@ class Store:
             digest = state.digest if version == MANIFEST_VERSION else format(fnv1a64(data), "016x")
             if digest != entry.get("digest"):
                 raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
-            self._parse_rows(state, data)
-            if len(state.rows) != entry.get("rows"):
-                raise StoreError(f"table {name!r} row count mismatch")
+            state.load(data, entry.get("rows"))
             self._tables[name] = state
-
-    def _parse_rows(self, state: _TableState, data: bytes) -> None:
-        table = state.table
-        try:
-            reader = csv.reader(io.StringIO(data.decode("utf-8")))
-            header = next(reader, None)
-            if header is None:
-                raise StoreError(f"table {table.name!r}: empty data file")
-            if header != state.columns:
-                raise StoreError(f"table {table.name!r}: unexpected columns {header!r}")
-            decoders = [(name, decode) for name, _, decode in state.plan]
-            rows = [
-                {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
-                for record in reader
-                if record
-            ]
-        except (ValueError, csv.Error) as exc:
-            raise StoreError(f"table {table.name!r}: unreadable data file: {exc}") from exc
-        state.rows = rows
-        if state._is_dim:
-            natural_key = table.natural_key
-            leading = natural_key[0]
-            for row in rows:
-                sk = row[SK_COLUMN]
-                state.by_natural.setdefault(tuple(str(row.get(part)) for part in natural_key), sk)
-                state.by_leading.setdefault(str(row.get(leading)), sk)
 
     def _write_manifest(self) -> None:
         manifest = {
             "catalog_digest": self.catalog_digest,
             "tables": {
-                name: {"rows": len(state.rows), "digest": state.digest}
+                name: {"rows": state.count, "digest": state.digest}
                 for name, state in sorted(self._tables.items())
             },
             "version": MANIFEST_VERSION,
@@ -251,7 +313,11 @@ class Store:
 
     def row_count(self, table_name: str) -> int:
         state = self._tables.get(table_name)
-        return len(state.rows) if state else 0
+        if state is None:
+            return 0
+        if not state.checked:
+            state.index()
+        return state.count
 
     def upsert_dimension(self, table_name: str, row: Mapping) -> int:
         """Insert or find by natural key; first write wins, keys stay dense."""
@@ -261,7 +327,8 @@ class Store:
         if SK_COLUMN in row:
             raise StoreTypeError(f"{table_name}: the store assigns {SK_COLUMN!r}")
         state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
-        sk = len(state.rows) + 1
+        state.index()
+        sk = state.count + 1
         line, kept = state.encode({SK_COLUMN: sk, **row})
         natural = []
         for part in table.natural_key:
@@ -275,9 +342,7 @@ class Store:
             return existing
         state.by_natural[key] = sk
         state.by_leading.setdefault(natural[0], sk)
-        state.digest_state.update(line)
-        state.pending.append(line)
-        state.rows.append(kept)
+        state.append(line, (kept,))
         self._tables[table_name] = state
         return sk
 
@@ -286,6 +351,7 @@ class Store:
         state = self._tables.get(table_name)
         if state is None:
             return None
+        state.index()
         return state.by_leading.get(leading_key)
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
@@ -307,10 +373,9 @@ class Store:
                     raise DanglingKeyError(
                         f"{table_name}.{name}={value} does not resolve in {ref!r}"
                     )
-        data = b"".join(line for line, _ in encoded)
-        state.digest_state.update(data)
-        state.pending.append(data)
-        state.rows.extend(kept for _, kept in encoded)
+        if not state.checked:  # the manifest this batch's flush writes holds only checked counts
+            state.index()
+        state.append(b"".join(line for line, _ in encoded), [kept for _, kept in encoded])
         self._tables[table_name] = state
         return len(rows)
 
@@ -321,7 +386,8 @@ class Store:
         return state.digest if state else None
 
     def snapshot(self) -> "Snapshot":
-        tables = {name: tuple(dict(r) for r in state.rows) for name, state in self._tables.items()}
+        """Parse every table in full; a cell that does not decode is a StoreError naming its table."""
+        tables = {name: state.rows() for name, state in self._tables.items()}
         digests = {name: state.digest for name, state in self._tables.items()}
         return Snapshot(catalog=self.catalog, tables=tables, table_digests=digests)
 
@@ -368,9 +434,8 @@ class Snapshot:
             state = _TableState(table)
             for row in rows:
                 line, kept = state.encode(row)
-                state.digest_state.update(line)
-                state.rows.append(kept)
-            frozen[name] = tuple(state.rows)
+                state.append(line, (kept,))
+            frozen[name] = tuple(state.tail)
             digests[name] = state.digest
         return cls(catalog=catalog, tables=frozen, table_digests=digests)
 

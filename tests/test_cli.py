@@ -7,6 +7,7 @@ from pathlib import Path
 from agridw.catalog import builtin_catalog, save_catalog, serialize_catalog
 from agridw.cli import main
 from agridw.report import load_findings
+from agridw.store import open_store
 from agridw.util import fnv1a64
 
 
@@ -323,3 +324,20 @@ class TestSynth:
         assert main(["analyze", "mine", "--store", store, "--out", out]) == 0
         findings = load_findings(Path(out) / "findings.json")
         assert findings and all(f.verdict == "insufficient-data" for f in findings)
+
+
+class TestStoreVerifyDecodesEveryCell:
+    def test_undecodable_cell_under_a_matching_digest_exit_two_names_the_table(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        writer = open_store(store, builtin_catalog())
+        writer.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5})
+        writer.flush()
+        data = store / "Soil" / "data.csv"
+        forged = data.read_bytes().replace(b",6.5,", b",x6.5,")
+        data.write_bytes(forged)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["tables"]["Soil"]["digest"] = hashlib.blake2b(forged, digest_size=8).hexdigest()
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", str(store)]) == 2
+        assert "Soil" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agridw.catalog import builtin_catalog, Catalog
+import agridw.store as store_module
+from agridw import synth
+from agridw.catalog import AttributeDef, builtin_catalog, Catalog, TableDef, validate_catalog
 from agridw.errors import (
     CatalogMismatchError,
     DanglingKeyError,
@@ -29,6 +32,7 @@ from agridw.store import (
     open_store,
     star_query,
 )
+from agridw.etl import run_pipeline
 from agridw.util import fnv1a64
 
 CATALOG = builtin_catalog()
@@ -505,3 +509,153 @@ class TestAggregateConsistency:
         )
         (_, total, count, mean), = star_query(store.snapshot(), q).rows
         assert abs(mean - total / count) <= 1e-9
+
+
+# --- lazy reopen ------------------------------------------------------------
+
+_ONE_COLUMN_FACT = Catalog(
+    version="one-column-fact",
+    tables={
+        "D": TableDef(name="D", role="dimension", attributes=(AttributeDef(name="DID", kind="natural-key-part"),),
+                      natural_key=("DID",)),
+        "F": TableDef(name="F", role="fact", attributes=(AttributeDef(name="M", kind="number"),),
+                      measures=("M",), dimension_refs=("D",)),
+    },
+)
+
+
+def _forge(store_dir, table: str, old: bytes, new: bytes) -> None:
+    """Replace ``old`` by ``new`` in a table's file and record the matching digest."""
+    path = Path(store_dir) / table / "data.csv"
+    forged = path.read_bytes().replace(old, new, 1)
+    assert forged != path.read_bytes()
+    path.write_bytes(forged)
+    manifest = _manifest(store_dir)
+    manifest["tables"][table]["digest"] = _blake2b64_hex(forged)
+    (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestLazyReopen:
+    def test_row_with_every_value_absent_survives_reopen(self, store_dir):
+        assert validate_catalog(_ONE_COLUMN_FACT) == []
+        store = open_store(store_dir, _ONE_COLUMN_FACT)
+        store.insert_facts("F", [{"M": 1.5}, {}])
+        store.flush()
+        assert (Path(store_dir) / "F" / "data.csv").read_bytes() == b"M\n1.5\n\n"
+        reopened = open_store(store_dir, _ONE_COLUMN_FACT)
+        assert reopened.row_count("F") == 2
+        assert reopened.snapshot().tables == store.snapshot().tables == {"F": ({"M": 1.5}, {})}
+        assert reopened.snapshot().table_digests == store.snapshot().table_digests
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_int_beyond_float_range_is_a_type_error(self, store_dir, value):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        digest = store.table_digest("Crop")
+        with pytest.raises(StoreTypeError, match="FieldFact.YieldValue"):
+            store.insert_facts("FieldFact", [{"CropKey": 1, "YieldValue": 8.0}, {"CropKey": 1, "YieldValue": value}])
+        with pytest.raises(StoreTypeError, match="Crop.EstYield"):
+            store.upsert_dimension("Crop", {**_crop("C2", "Winter Rye"), "EstYield": value})
+        assert store.row_count("FieldFact") == 0
+        assert store.row_count("Crop") == 1
+        assert store.table_digest("Crop") == digest
+        assert set(store.snapshot().tables) == {"Crop"}
+
+    def test_undecodable_soil_cell_surfaces_at_snapshot(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5})
+        store.upsert_dimension("Soil", {"SoilID": "S2", "PH": 7.25})
+        store.flush()
+        _forge(store_dir, "Soil", b",6.5,", b",x6.5,")
+        reopened = open_store(store_dir, CATALOG)  # the natural-key pass decodes no PH cell
+        assert reopened.resolve_dimension("Soil", "S2") == 2
+        with pytest.raises(StoreError, match="Soil"):
+            reopened.snapshot()
+
+    def test_undecodable_natural_key_pass_names_the_table(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        store.flush()
+        _forge(store_dir, "Crop", b"\n1,C1", b"\n1,\xffC1")  # not UTF-8
+        with pytest.raises(StoreError, match="Crop"):
+            open_store(store_dir, CATALOG).resolve_dimension("Crop", "C1")
+
+    @pytest.mark.parametrize("table", ["Crop", "FieldFact"])
+    def test_row_count_disagreeing_with_the_file_is_a_store_error(self, store_dir, table):
+        _small_store(store_dir)
+        manifest = _manifest(store_dir)
+        manifest["tables"][table]["rows"] += 1
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"{table}.*row count"):
+            open_store(store_dir, CATALOG).row_count(table)
+        with pytest.raises(StoreError, match=f"{table}.*row count"):
+            open_store(store_dir, CATALOG).snapshot()
+
+    def test_append_after_reopen_decodes_no_fact_row(self, tmp_path, store_dir, monkeypatch):
+        crops = tuple(
+            synth.CropSpec(name, 10.0, {"soil_ph": synth.FactorEffect(optimum=5.5, weight=0.5, scale=2.0)})
+            for name in ("Grass", "Winter Rye")
+        )
+        result = synth.generate(synth.SynthConfig(crops=crops, records_per_crop=20, seed=5), tmp_path / "gen")
+        pairs = synth.source_mapping_pairs(result)
+        run_pipeline(pairs, CATALOG, open_store(store_dir, CATALOG))
+
+        parsed, indexed = [], []
+        rows, index = store_module._TableState.rows, store_module._TableState.index
+        monkeypatch.setattr(store_module._TableState, "rows", lambda s: parsed.append(s.table.name) or rows(s))
+        monkeypatch.setattr(store_module._TableState, "index", lambda s: indexed.append(s.table.name) or index(s))
+        store = open_store(store_dir, CATALOG)
+        report = run_pipeline(pairs, CATALOG, store)
+        assert parsed == []
+        assert "FieldFact" not in indexed
+        assert {name: report.tables[name].upserts_new for name in ("Crop", "Field", "Soil")} == {
+            "Crop": 0, "Field": 0, "Soil": 0,
+        }
+        assert report.tables["FieldFact"].rows_accepted == 40
+        assert open_store(store_dir, CATALOG).row_count("FieldFact") == 80
+        assert parsed == []
+
+
+def _csv_view(store_dir, catalog: Catalog) -> dict[str, tuple[dict, ...]]:
+    """Each data.csv as the stdlib reader sees it, cells decoded by column kind."""
+    decode = {"foreign-key": int, "number": float, "sk": int}
+    out = {}
+    for name, data in _data_files(store_dir).items():
+        table = catalog.table(name)
+        kinds = {"sk": "sk", **{a.name: a.kind for a in table.attributes}}
+        records = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+        out[name] = tuple(
+            {col: decode.get(kinds[col], str)(cell) for col, cell in record.items() if cell != ""}
+            for record in records
+        )
+    return out
+
+
+def _apply(store, steps) -> None:
+    for kind, payload in steps:
+        if kind == "upsert":
+            store.upsert_dimension("Crop", payload)
+        elif kind == "facts":
+            store.insert_facts("FieldFact", [row for row in payload if row["CropKey"] <= store.row_count("Crop")])
+        else:
+            store.flush()
+
+
+@settings(max_examples=40, deadline=None)
+@given(before=st.lists(_STEP, max_size=10), after=st.lists(_STEP.filter(lambda s: s[0] != "flush"), max_size=8))
+def test_reopened_store_appends_as_the_live_store(before, after):
+    with tempfile.TemporaryDirectory() as tmp:
+        live = open_store(Path(tmp) / "live", CATALOG)
+        _apply(live, before + after)
+        reopened_dir = Path(tmp) / "reopened"
+        first = open_store(reopened_dir, CATALOG)
+        _apply(first, before)
+        first.flush()
+        reopened = open_store(reopened_dir, CATALOG)
+        _apply(reopened, after)
+        want, got = live.snapshot(), reopened.snapshot()
+        assert got.tables == want.tables
+        assert got.table_digests == want.table_digests
+        reopened.flush()
+        assert _csv_view(reopened_dir, CATALOG) == got.tables
+        assert {name: _blake2b64_hex(data) for name, data in _data_files(reopened_dir).items()} == got.table_digests
