@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, sqrt
 from typing import Iterable, Mapping, Sequence
 
-from scipy.stats import t as _student_t
-
 from .errors import ConfigError
+from .etl import builtin_crop_synonyms, normalize_synonym
 from .store import Snapshot
 
 FACTORS = ("soil_ph", "soil_p", "soil_k", "soil_mg", "herbicide", "insecticide")
@@ -177,8 +176,6 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
     the fact's own measures; anything unjoined or unset stays absent. Crop
     names are harmonized through the builtin synonym table when possible.
     """
-    from .etl import builtin_crop_synonyms, normalize_synonym
-
     table = synonyms if synonyms is not None else builtin_crop_synonyms()
     records: list[YieldRecord] = []
     for ordinal, fact in enumerate(snapshot.rows("FieldFact"), start=1):
@@ -367,7 +364,9 @@ def welch_t_from_summary(
         return (inf if mean1 > mean2 else -inf), float(n1 + n2 - 2), 0.0
     t_stat = (mean1 - mean2) / sqrt(pooled)
     df = pooled * pooled / (v1 * v1 / (n1 - 1) + v2 * v2 / (n2 - 1))
-    p = 2.0 * float(_student_t.sf(abs(t_stat), df))
+    from scipy.stats import t as student_t  # imported here: scipy takes over a second to load
+
+    p = 2.0 * float(student_t.sf(abs(t_stat), df))
     return t_stat, df, p
 
 

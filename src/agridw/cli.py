@@ -19,6 +19,10 @@ from .etl import SourceDescriptor, load_mapping, run_pipeline, write_reject_ledg
 from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, open_store
 
 
+# Output file suffix per report format; also the `analyze --format` choices.
+_SUFFIX = {report.FORMAT_DELIMITED: ".csv", report.FORMAT_JSON: ".json", report.FORMAT_MARKDOWN: ".md"}
+
+
 def _load_catalog_arg(path: str | None):
     if path is None:
         return builtin_catalog()
@@ -91,11 +95,7 @@ def _cmd_analyze(args) -> int:
     if args.mode == "groups":
         assignments = analytics.assign_groups(records)
         stats = [analytics.yield_group_stats(a, records) for a in assignments.values()]
-        fmt = {"json": report.FORMAT_JSON, "markdown": report.FORMAT_MARKDOWN}.get(
-            args.format, report.FORMAT_DELIMITED
-        )
-        suffix = {"json": ".json", "markdown": ".md"}.get(args.format, ".csv")
-        path = report.emit_group_table(stats, fmt, out_dir / f"group_table{suffix}")
+        path = report.emit_group_table(stats, args.format, out_dir / f"group_table{_SUFFIX[args.format]}")
         print(f"group table: {path}", file=sys.stderr)
     elif args.mode == "factor":
         if args.factor not in analytics.FACTORS:
@@ -106,9 +106,8 @@ def _cmd_analyze(args) -> int:
             return 2
         assignments = analytics.assign_groups(records)
         stats = [analytics.factor_group_means(a, records, args.factor) for a in assignments.values()]
-        fmt = report.FORMAT_JSON if args.format == "json" else report.FORMAT_DELIMITED
-        suffix = ".json" if args.format == "json" else ".csv"
-        path = report.emit_factor_series(stats, out_dir / f"factor_{args.factor}{suffix}", fmt)
+        path = out_dir / f"factor_{args.factor}{_SUFFIX[args.format]}"
+        path = report.emit_factor_series(stats, path, args.format)
         print(f"factor series: {path}", file=sys.stderr)
     else:  # mine
         findings = analytics.mine_optima_from_records(records, rule)
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", required=True, help="output directory")
     p_analyze.add_argument("--rule", default="gap:0.10", help="gap:<threshold> or welch:<alpha>")
     p_analyze.add_argument("--factor", help="factor name for 'factor' mode")
-    p_analyze.add_argument("--format", choices=("delimited", "json", "markdown"), default="delimited")
+    p_analyze.add_argument("--format", choices=tuple(_SUFFIX), default=report.FORMAT_DELIMITED)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_store = sub.add_parser("store", help="store operations")

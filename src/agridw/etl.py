@@ -9,6 +9,7 @@ machine-readable reason, never a dropped row.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -309,16 +310,11 @@ def load_synonym_table(path: str | Path) -> dict[str, str]:
     return table
 
 
-_BUILTIN_SYNONYMS: dict[str, str] | None = None
-
-
+@functools.cache
 def builtin_crop_synonyms() -> dict[str, str]:
-    """Crop-name harmonization table shipped with the package."""
-    global _BUILTIN_SYNONYMS
-    if _BUILTIN_SYNONYMS is None:
-        with resources.as_file(resources.files("agridw").joinpath("data/crop_synonyms.csv")) as p:
-            _BUILTIN_SYNONYMS = load_synonym_table(p)
-    return _BUILTIN_SYNONYMS
+    """Crop-name harmonization table shipped with the package, loaded once per process."""
+    with resources.as_file(resources.files("agridw").joinpath("data/crop_synonyms.csv")) as p:
+        return load_synonym_table(p)
 
 
 def normalize_synonym(value: str, table: SynonymTable) -> str | None:
@@ -378,17 +374,14 @@ def load_mapping(path: str | Path) -> MappingSpec:
     return mapping_from_dict(doc)
 
 
-def validate_mapping(
-    spec: MappingSpec,
-    catalog: Catalog,
-    synonyms: Mapping[str, SynonymTable] | None = None,
-) -> list[str]:
-    """Problems that make the spec unusable against ``catalog`` (empty = valid)."""
-    problems: list[str] = []
+def _compile_mapping(
+    spec: MappingSpec, catalog: Catalog, synonyms: Mapping[str, SynonymTable]
+) -> tuple[TableDef | None, list, list[str]]:
+    """(table, plan, problems); the plan is usable only when there are no problems."""
     table = catalog.table(spec.target_table)
     if table is None:
-        return [f"target_table {spec.target_table!r} not in catalog"]
-    synonyms = synonyms if synonyms is not None else default_synonym_tables()
+        return None, [], [f"target_table {spec.target_table!r} not in catalog"]
+    plan, problems = [], []
     bound: set[str] = set()
     for binding in spec.bindings:
         attr = table.attribute(binding.target)
@@ -396,25 +389,30 @@ def validate_mapping(
             problems.append(f"target attribute {binding.target!r} not in table {table.name!r}")
             continue
         bound.add(attr.name)
-        converts = [t for t in binding.transforms if t.op == "unit-convert"]
-        if len(converts) > 1:
+        if sum(t.op == "unit-convert" for t in binding.transforms) > 1:
             problems.append(f"binding {binding.target!r}: at most one unit-convert allowed")
+        chain = []
         for t in binding.transforms:
-            if t.op == "parse-date" and not isinstance(t.params.get("pattern"), str):
-                problems.append(f"binding {binding.target!r}: parse-date needs a pattern")
-            elif t.op == "unit-convert":
-                if not isinstance(t.params.get("from"), str) or not isinstance(t.params.get("to"), str):
-                    problems.append(f"binding {binding.target!r}: unit-convert needs 'from' and 'to'")
-            elif t.op == "synonym":
-                name = t.params.get("table")
-                if name not in synonyms:
-                    problems.append(f"binding {binding.target!r}: unknown synonym table {name!r}")
-            elif t.op in ("constant", "nullable-default") and "value" not in t.params:
-                problems.append(f"binding {binding.target!r}: {t.op} needs a value")
+            try:
+                chain.append(_compile_transform(t, synonyms))
+            except MappingError as exc:
+                problems.append(f"binding {binding.target!r}: {exc}")
+        bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
+        plan.append((binding.source, attr, chain, bounds))
     for attr in table.attributes:
         if not attr.nullable and attr.name not in bound:
             problems.append(f"non-nullable attribute {attr.name!r} is neither bound nor constant")
-    return problems
+    return table, plan, problems
+
+
+def validate_mapping(
+    spec: MappingSpec,
+    catalog: Catalog,
+    synonyms: Mapping[str, SynonymTable] | None = None,
+) -> list[str]:
+    """Problems that make the spec unusable against ``catalog`` (empty = valid)."""
+    synonyms = synonyms if synonyms is not None else default_synonym_tables()
+    return _compile_mapping(spec, catalog, synonyms)[2]
 
 
 # --- applying mappings ------------------------------------------------------
@@ -440,12 +438,15 @@ def _parse_number(text) -> float:
 
 
 def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Callable:
+    """The step for one transform; MappingError for an unknown op or a bad parameter."""
     if t.op == "rename":
         return lambda v: v
     if t.op == "parse-number":
         return lambda v: None if v is None else _parse_number(v)
     if t.op == "parse-date":
-        pattern = str(t.params["pattern"])
+        pattern = t.params.get("pattern")
+        if not isinstance(pattern, str):
+            raise MappingError("parse-date needs a pattern")
 
         def parse_date(v):
             if v is None:
@@ -457,8 +458,9 @@ def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Ca
 
         return parse_date
     if t.op == "unit-convert":
-        from_unit = str(t.params["from"])
-        to_unit = str(t.params["to"])
+        from_unit, to_unit = t.params.get("from"), t.params.get("to")
+        if not isinstance(from_unit, str) or not isinstance(to_unit, str):
+            raise MappingError("unit-convert needs 'from' and 'to'")
 
         def unit_convert(v):
             if v is None:
@@ -472,7 +474,10 @@ def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Ca
 
         return unit_convert
     if t.op == "synonym":
-        table = synonyms[t.params["table"]]
+        name = t.params.get("table")
+        if not isinstance(name, str) or name not in synonyms:
+            raise MappingError(f"unknown synonym table {name!r}")
+        table = synonyms[name]
 
         def lookup(v):
             if v is None:
@@ -483,13 +488,18 @@ def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Ca
             return hit
 
         return lookup
-    if t.op == "constant":
+    if t.op in ("constant", "nullable-default"):
+        if "value" not in t.params:
+            raise MappingError(f"{t.op} needs a value")
         value = t.params["value"]
-        return lambda v: value
-    if t.op == "nullable-default":
-        default = t.params["value"]
-        return lambda v: default if v is None else v
+        if t.op == "constant":
+            return lambda v: value
+        return lambda v: value if v is None else v
     raise MappingError(f"unknown transform op {t.op!r}")
+
+
+def _reject(row: RawRow, binding: str, reason: str) -> RejectRecord:
+    return RejectRecord(source=row.source, row=row.number, binding=binding, reason=reason, raw=row.raw)
 
 
 class CompiledMapping:
@@ -497,20 +507,19 @@ class CompiledMapping:
 
     def __init__(self, spec: MappingSpec, catalog: Catalog, synonyms: Mapping[str, SynonymTable] | None = None):
         synonyms = synonyms if synonyms is not None else default_synonym_tables()
-        problems = validate_mapping(spec, catalog, synonyms)
+        table, self._plan, problems = _compile_mapping(spec, catalog, synonyms)
         if problems:
             raise MappingError(f"mapping for {spec.target_table!r}: " + "; ".join(problems))
         self.spec = spec
-        self.table: TableDef = catalog.table(spec.target_table)  # type: ignore[assignment]
-        self._plan = []
-        for binding in spec.bindings:
-            attr = self.table.attribute(binding.target)
-            assert attr is not None
-            chain = [_compile_transform(t, synonyms) for t in binding.transforms]
-            bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
-            self._plan.append((binding.source, attr, chain, bounds))
+        self.table: TableDef = table  # type: ignore[assignment]
 
     def apply(self, row: RawRow) -> dict | RejectRecord:
+        """The typed row, or the reject for the first binding that fails.
+
+        Each binding runs its transform chain, then the missing-required check,
+        then for a number attribute the type, range and finiteness checks, and
+        for any other attribute the text check.
+        """
         fields = row.fields
         typed: dict[str, object] = {}
         for source, attr, chain, bounds in self._plan:
@@ -518,43 +527,24 @@ class CompiledMapping:
             try:
                 for step in chain:
                     value = step(value)
+                if value is None:
+                    if not attr.nullable:
+                        raise _BindingFailure(REASON_MISSING)
+                    continue
+                if attr.kind == "number":
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise _BindingFailure(REASON_TYPE)
+                    value = float(value)
+                    if bounds is not None:
+                        lo, hi, lo_exclusive = bounds
+                        if value < lo or value > hi or (lo_exclusive and value == lo):
+                            raise _BindingFailure(REASON_RANGE)
+                    if not isfinite(value):  # e.g. a unit conversion that overflowed
+                        raise _BindingFailure(REASON_TYPE)
+                elif not isinstance(value, str):
+                    raise _BindingFailure(REASON_TYPE)
             except _BindingFailure as failure:
-                return RejectRecord(
-                    source=row.source, row=row.number, binding=attr.name,
-                    reason=failure.reason, raw=row.raw,
-                )
-            if value is None:
-                if not attr.nullable:
-                    return RejectRecord(
-                        source=row.source, row=row.number, binding=attr.name,
-                        reason=REASON_MISSING, raw=row.raw,
-                    )
-                continue
-            if attr.kind == "number":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    return RejectRecord(
-                        source=row.source, row=row.number, binding=attr.name,
-                        reason=REASON_TYPE, raw=row.raw,
-                    )
-                value = float(value)
-                if bounds is not None:
-                    lo, hi, lo_exclusive = bounds
-                    if value < lo or value > hi or (lo_exclusive and value == lo):
-                        return RejectRecord(
-                            source=row.source, row=row.number, binding=attr.name,
-                            reason=REASON_RANGE, raw=row.raw,
-                        )
-                if not isfinite(value):  # e.g. a unit conversion that overflowed
-                    return RejectRecord(
-                        source=row.source, row=row.number, binding=attr.name,
-                        reason=REASON_TYPE, raw=row.raw,
-                    )
-            else:
-                if not isinstance(value, str):
-                    return RejectRecord(
-                        source=row.source, row=row.number, binding=attr.name,
-                        reason=REASON_TYPE, raw=row.raw,
-                    )
+                return _reject(row, attr.name, failure.reason)
             typed[attr.name] = value
         return typed
 
@@ -568,6 +558,21 @@ def write_reject_ledger(rejects: Sequence[RejectRecord], path: str | Path) -> Pa
     for r in rejects:
         out.write(csv_line([r.source, str(r.row), r.binding, r.reason, r.raw]))
     return atomic_write_text(Path(path), out.getvalue())
+
+
+def _resolve_foreign_keys(
+    store: "Store", fk_attrs: Sequence[tuple[str, str]], row: RawRow, typed: dict
+) -> dict | RejectRecord:
+    """Replace each foreign-key value by its dimension's ``sk``; unresolved is missing-required."""
+    for attr_name, ref_table in fk_attrs:
+        raw_key = typed.get(attr_name)
+        if raw_key is None:
+            continue
+        sk = store.resolve_dimension(ref_table, str(raw_key))
+        if sk is None:
+            return _reject(row, attr_name, REASON_MISSING)
+        typed[attr_name] = sk
+    return typed
 
 
 def run_pipeline(
@@ -597,47 +602,28 @@ def run_pipeline(
             stats = report.stats_for(table.name)
             started = time.perf_counter()
             fact_batch: list[dict] = []
+            is_fact = table.is_fact
             fk_attrs = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
             for item in read_source(src):
                 stats.rows_read += 1
-                if isinstance(item, RejectRecord):
+                outcome = item if isinstance(item, RejectRecord) else mapping.apply(item)
+                if is_fact and not isinstance(outcome, RejectRecord):
+                    outcome = _resolve_foreign_keys(store, fk_attrs, item, outcome)
+                if isinstance(outcome, RejectRecord):
                     stats.rows_rejected += 1
-                    report.rejects.append(item)
+                    report.rejects.append(outcome)
                     continue
-                typed = mapping.apply(item)
-                if isinstance(typed, RejectRecord):
-                    stats.rows_rejected += 1
-                    report.rejects.append(typed)
+                stats.rows_accepted += 1
+                if is_fact:
+                    fact_batch.append(outcome)
                     continue
-                if not table.is_fact:
-                    before = store.row_count(table.name)
-                    if store.upsert_dimension(table.name, typed) > before:
-                        stats.upserts_new += 1
-                    else:
-                        stats.upserts_deduped += 1
-                    stats.rows_accepted += 1
-                    continue
-                reject = None
-                for attr_name, ref_table in fk_attrs:
-                    raw_key = typed.get(attr_name)
-                    if raw_key is None:
-                        continue
-                    sk = store.resolve_dimension(ref_table, str(raw_key))
-                    if sk is None:
-                        reject = RejectRecord(
-                            source=item.source, row=item.number, binding=attr_name,
-                            reason=REASON_MISSING, raw=item.raw,
-                        )
-                        break
-                    typed[attr_name] = sk
-                if reject is not None:
-                    stats.rows_rejected += 1
-                    report.rejects.append(reject)
-                    continue
-                fact_batch.append(typed)
-            if table.is_fact and fact_batch:
+                before = store.row_count(table.name)
+                if store.upsert_dimension(table.name, outcome) > before:
+                    stats.upserts_new += 1
+                else:
+                    stats.upserts_deduped += 1
+            if fact_batch:
                 store.insert_facts(table.name, fact_batch)
-                stats.rows_accepted += len(fact_batch)
             store.flush()
             stats.elapsed_s += time.perf_counter() - started
     return report

@@ -22,7 +22,7 @@ from .analytics import (
     VERDICT_OPTIMAL,
 )
 from .errors import ConfigError
-from .util import atomic_write_text, canonical_json, format_decimal
+from .util import atomic_write_text, canonical_json, csv_line, format_decimal
 
 FORMAT_DELIMITED = "delimited"
 FORMAT_JSON = "json"
@@ -51,7 +51,7 @@ def emit_group_table(stats: Sequence[GroupYieldStats], fmt: str, path: str | Pat
         out = io.StringIO()
         out.write("group,crop,mean_yield,pct_vs_g3\n")
         for g, crop, mean, pct in rows:
-            out.write(f"{g},{crop},{mean},{pct}\n")
+            out.write(csv_line([str(g), crop, mean, pct]))
         return atomic_write_text(Path(path), out.getvalue())
     if fmt == FORMAT_JSON:
         payload = [
@@ -87,9 +87,9 @@ def emit_factor_series(
     ]
     if fmt == FORMAT_DELIMITED:
         out = io.StringIO()
-        out.write(",".join(_FACTOR_COLUMNS) + "\n")
+        out.write(csv_line(_FACTOR_COLUMNS))
         for crop, factor, g, mean, count, sd in rows:
-            out.write(f"{crop},{factor},{g},{_decimal_or_blank(mean)},{count},{_decimal_or_blank(sd)}\n")
+            out.write(csv_line([crop, factor, str(g), _decimal_or_blank(mean), str(count), _decimal_or_blank(sd)]))
         return atomic_write_text(Path(path), out.getvalue())
     if fmt == FORMAT_JSON:
         payload = [dict(zip(_FACTOR_COLUMNS, row)) for row in rows]

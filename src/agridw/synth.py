@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .errors import ConfigError
 from .etl import FORMAT_DELIMITED, MappingSpec, SourceDescriptor, load_mapping
-from .util import atomic_write_text, canonical_json, fnv1a64, format_decimal
+from .util import atomic_write_text, canonical_json, csv_field, fnv1a64, format_decimal
 
 FACTOR_BOUNDS: dict[str, tuple[float, float]] = {
     "soil_ph": (4.5, 8.5),
@@ -345,7 +345,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GenerateResult:
     crop_ids = {}
     for i, crop in enumerate(config.crops, start=1):
         crop_ids[crop.name] = f"C{i:03d}"
-        crops_csv.write(f"C{i:03d},{crop.name}\n")
+        crops_csv.write(f"C{i:03d},{csv_field(crop.name)}\n")  # the only free text synth writes
 
     fields_csv = io.StringIO()
     fields_csv.write("field_id,field_name\n")

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import agridw
 
 from agridw.catalog import builtin_catalog, save_catalog, serialize_catalog
 from agridw.cli import main
@@ -184,6 +189,15 @@ class TestAnalyze:
         assert len(doc) == 2 * 5
         assert {"crop", "factor", "group", "mean", "count", "sd"} == set(doc[0])
 
+    def test_factor_series_markdown_exit_two_writes_nothing(self, tmp_path, capsys):
+        store = self._loaded_store(tmp_path)
+        out = tmp_path / "out-md"
+        code = main(["analyze", "factor", "--factor", "soil_ph", "--store", store,
+                     "--out", str(out), "--format", "markdown"])
+        assert code == 2
+        assert "markdown" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_factor_exit_two_lists_valid(self, tmp_path, capsys):
         store = self._loaded_store(tmp_path)
         out = str(tmp_path / "out")
@@ -341,3 +355,12 @@ class TestStoreVerifyDecodesEveryCell:
         capsys.readouterr()
         assert main(["store", "verify", "--store", str(store)]) == 2
         assert "Soil" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(agridw.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import agridw.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from agridw.catalog import builtin_catalog
 from agridw.errors import MappingError, UnitConversionError
 from agridw.etl import (
+    Binding,
     CompiledMapping,
+    MappingSpec,
     RawRow,
     RejectRecord,
     SourceDescriptor,
     STRUCTURAL_BINDING,
+    Transform,
     builtin_crop_synonyms,
     convert_unit,
     mapping_from_dict,
@@ -311,6 +314,28 @@ class TestApplyMapping:
         reject = apply_mapping(_raw({"y": "bad", "h": "also bad"}), spec, CATALOG)
         assert reject.binding == "YieldValue"
 
+    @pytest.mark.parametrize(
+        "table, target, value, reason",
+        [
+            ("FieldFact", "YieldValue", float("inf"), "range-error"),  # ton/ha: the range check comes first
+            ("FieldFact", "YieldValue", float("nan"), "type-error"),  # NaN passes the range check, fails finiteness
+            ("FieldFact", "HerbicideQty", float("inf"), "type-error"),  # kg/ha has no range
+            ("FieldFact", "YieldValue", True, "type-error"),
+            ("FieldFact", "YieldValue", "8.5", "type-error"),  # a number attribute needs a number
+            ("Crop", "VarietyName", 3, "type-error"),  # a text attribute needs text
+        ],
+    )
+    def test_constant_checked_like_parsed_values(self, table, target, value, reason):
+        keys = [{"source": "id", "target": "CropID"}, {"source": "name", "target": "CropName"}]
+        spec = mapping_from_dict({
+            "target_table": table,
+            "bindings": (keys if table == "Crop" else [])
+            + [{"source": "", "target": target, "transforms": [{"op": "constant", "value": value}]}],
+        })
+        reject = apply_mapping(_raw({"id": "C1", "name": "Grass"}), spec, CATALOG)
+        assert isinstance(reject, RejectRecord)
+        assert (reject.binding, reject.reason) == (target, reason)
+
 
 class TestMappingTotality:
     @given(
@@ -372,6 +397,38 @@ class TestValidateMapping:
             }
         )
         assert any("unit-convert" in p for p in validate_mapping(spec, CATALOG))
+
+    @pytest.mark.parametrize(
+        "transform, problem",
+        [
+            ({"op": "parse-date"}, "parse-date needs a pattern"),
+            ({"op": "parse-date", "pattern": 7}, "parse-date needs a pattern"),
+            ({"op": "unit-convert", "from": "g/ha"}, "unit-convert needs 'from' and 'to'"),
+            ({"op": "unit-convert", "from": 1, "to": "kg/ha"}, "unit-convert needs 'from' and 'to'"),
+            ({"op": "synonym", "table": "nope"}, "unknown synonym table 'nope'"),
+            ({"op": "synonym"}, "unknown synonym table None"),
+            ({"op": "synonym", "table": ["crop-names"]}, "unknown synonym table ['crop-names']"),
+            ({"op": "constant"}, "constant needs a value"),
+            ({"op": "nullable-default"}, "nullable-default needs a value"),
+        ],
+    )
+    def test_transform_parameter_problems(self, transform, problem):
+        spec = mapping_from_dict(
+            {"target_table": "Crop", "bindings": [
+                {"source": "id", "target": "CropID", "transforms": [{"op": "rename"}, transform]},
+                {"source": "name", "target": "CropName"},
+            ]}
+        )
+        assert validate_mapping(spec, CATALOG) == [f"binding 'CropID': {problem}"]
+        with pytest.raises(MappingError, match="mapping for 'Crop': binding 'CropID': "):
+            CompiledMapping(spec, CATALOG)
+
+    def test_unknown_op_built_in_code_is_a_problem(self):
+        spec = MappingSpec("Crop", (
+            Binding("id", "CropID", (Transform("frobnicate"),)),
+            Binding("name", "CropName"),
+        ))
+        assert validate_mapping(spec, CATALOG) == ["binding 'CropID': unknown transform op 'frobnicate'"]
 
     def test_compiled_mapping_raises_on_problems(self):
         spec = mapping_from_dict(
@@ -504,3 +561,102 @@ class TestRunPipeline:
         lines = path.read_text().splitlines()
         assert lines[0] == "source,row,binding,reason,raw"
         assert lines[1] == 's.csv,3,PH,range-error,"S1,12"'
+
+
+LEDGER_CROPS = (
+    "crop_id,crop_name,est\n"
+    "C1,Grass,8\n"
+    "C2,wheat w.,9\n"
+    "C3,Turnip,5\n"
+    "C4,,5\n"
+    "C5,Grass,extra,x\n"
+    "C6,Oats W.,250\n"
+    '"C7,x",Rye W.,abc\n'
+    "C1,Grass,8\n"
+)
+
+LEDGER_FACTS = (
+    "crop_id,yield_t,herb_g,water\n"
+    "C1,8.5,2500,\n"
+    "C2,bad,,\n"
+    "C1,7.0,,3\n"
+    "C9,6.0,,\n"
+    "C1,0,,\n"
+    "C2,bad,,3\n"
+    "C3,7.5,,\n"
+    "C1,inf,,\n"
+    ",5.0,,\n"
+    "C1,8.5\n"
+)
+
+LEDGER_FACTS_JSON = (
+    '{"crop_id": "C2", "yield_t": 5.5}\n'
+    "[1, 2]\n"
+    '{"crop_id": "C1", "yield_t": true}\n'
+    "{not json\n"
+)
+
+LEDGER_EXPECTED = (
+    "source,row,binding,reason,raw\n"
+    "crops.csv,3,CropName,synonym-miss,\"C3,Turnip,5\"\n"
+    "crops.csv,4,CropName,missing-required,\"C4,,5\"\n"
+    "crops.csv,5,<row>,type-error,\"C5,Grass,extra,x\"\n"
+    "crops.csv,6,EstYield,range-error,\"C6,Oats W.,250\"\n"
+    "crops.csv,7,EstYield,type-error,\"\"\"C7,x\"\",Rye W.,abc\"\n"
+    "facts.csv,2,YieldValue,type-error,\"C2,bad,,\"\n"
+    "facts.csv,3,WaterVolume,unit-error,\"C1,7.0,,3\"\n"
+    "facts.csv,4,CropKey,missing-required,\"C9,6.0,,\"\n"
+    "facts.csv,5,YieldValue,range-error,\"C1,0,,\"\n"
+    "facts.csv,6,YieldValue,type-error,\"C2,bad,,3\"\n"
+    "facts.csv,7,CropKey,missing-required,\"C3,7.5,,\"\n"
+    "facts.csv,8,YieldValue,type-error,\"C1,inf,,\"\n"
+    "facts.csv,10,<row>,type-error,\"C1,8.5\"\n"
+    "facts.jsonl,2,<row>,type-error,\"[1, 2]\"\n"
+    "facts.jsonl,3,YieldValue,type-error,\"{\"\"crop_id\"\": \"\"C1\"\", \"\"yield_t\"\": true}\"\n"
+    "facts.jsonl,4,<row>,type-error,{not json\n"
+)
+
+
+class TestRejectLedger:
+    """Every reject reason, in source order, one ledger line per rejected row."""
+
+    def test_every_reason_in_one_run(self, tmp_path, catalog, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "crops.csv", LEDGER_CROPS)
+        _write(tmp_path, "facts.csv", LEDGER_FACTS)
+        _write(tmp_path, "facts.jsonl", LEDGER_FACTS_JSON)
+        crop_mapping = {
+            "target_table": "Crop",
+            "bindings": CROP_MAPPING["bindings"] + [
+                {"source": "est", "target": "EstYield", "transforms": [{"op": "parse-number"}]},
+            ],
+        }
+        fact_mapping = {
+            "target_table": "FieldFact",
+            "bindings": FACT_MAPPING["bindings"] + [
+                {"source": "herb_g", "target": "HerbicideQty", "transforms": [
+                    {"op": "parse-number"}, {"op": "unit-convert", "from": "g/ha", "to": "kg/ha"},
+                ]},
+                {"source": "water", "target": "WaterVolume", "transforms": [
+                    {"op": "parse-number"}, {"op": "unit-convert", "from": "pH", "to": "l/ha"},
+                ]},
+            ],
+        }
+        sources = [
+            (SourceDescriptor(path="facts.csv"), mapping_from_dict(fact_mapping)),
+            (SourceDescriptor(path="crops.csv"), mapping_from_dict(crop_mapping)),
+            (SourceDescriptor(path="facts.jsonl", format="record-json"), mapping_from_dict(FACT_MAPPING)),
+        ]
+        store = open_store(tmp_path / "store", catalog)
+        report = run_pipeline(sources, catalog, store)
+        write_reject_ledger(report.rejects, tmp_path / "rejects.csv")
+        assert (tmp_path / "rejects.csv").read_bytes() == LEDGER_EXPECTED.encode()
+        counts = {
+            name: (s.rows_read, s.rows_accepted, s.rows_rejected, s.upserts_new, s.upserts_deduped)
+            for name, s in report.tables.items()
+        }
+        assert counts == {"Crop": (8, 3, 5, 2, 1), "FieldFact": (14, 3, 11, 0, 0)}
+        rows = store.snapshot().rows("FieldFact")
+        assert [(r.get("CropKey"), r["YieldValue"], r.get("HerbicideQty")) for r in rows] == [
+            (1, 8.5, 2.5), (None, 5.0, None), (2, 5.5, None),
+        ]

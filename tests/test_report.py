@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -92,6 +93,15 @@ class TestGroupTable:
         b = emit_group_table(stats, FORMAT_DELIMITED, tmp_path / "b.csv").read_bytes()
         assert a == b
 
+    def test_delimited_quotes_crop_names(self, tmp_path):
+        names = ["Oats, naked", 'Rye "Hybrid"', "Grass"]
+        path = emit_group_table([_group_stats(n) for n in names], FORMAT_DELIMITED, tmp_path / "g.csv")
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1] == ["1", "Grass", "8.93", "+37.0"]
+        assert {len(r) for r in rows} == {4}
+        assert [r[1] for r in rows[1:]] == [n for n in sorted(names) for _ in range(5)]
+
 
 class TestFactorSeries:
     def test_columns_and_shape(self, tmp_path):
@@ -143,6 +153,15 @@ class TestFactorSeries:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_factor_series([_factor_stats()], tmp_path / "series.md", FORMAT_MARKDOWN)
+
+    def test_delimited_quotes_crop_names(self, tmp_path):
+        names = ["Oats, naked", 'Rye "Hybrid"', "Grass"]
+        path = emit_factor_series([_factor_stats(crop=n) for n in names], tmp_path / "series.csv")
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[5] == ["Grass", "soil_ph", "5", "", "0", ""]
+        assert {len(r) for r in rows} == {6}
+        assert [r[0] for r in rows[1:]] == [n for n in sorted(names) for _ in range(5)]
 
 class TestFindings:
     def test_json_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -282,3 +283,11 @@ class TestEmittedFiles:
             herb_g = line.split(",")[4]
             if "herbicide" not in record.missing:
                 assert float(herb_g) == pytest.approx(record.factors["herbicide"] * 1000.0)
+
+    def test_crop_name_with_delimiter_reads_back(self, tmp_path):
+        names = ("Oats, naked", 'Rye "Hybrid"')
+        config = SynthConfig(crops=tuple(CropSpec(n, 10.0) for n in names), records_per_crop=3, seed=1)
+        generate(config, tmp_path / "gen")
+        with open(tmp_path / "gen" / "crops.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["crop_id", "crop_name"], ["C001", names[0]], ["C002", names[1]]]
