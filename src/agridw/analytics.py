@@ -10,33 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .etl import builtin_crop_synonyms, normalize_synonym
 from .store import Snapshot
 
-FACTORS = ("soil_ph", "soil_p", "soil_k", "soil_mg", "herbicide", "insecticide")
 
-FACTOR_UNITS = {
-    "soil_ph": "pH",
-    "soil_p": "mg/l",
-    "soil_k": "mg/l",
-    "soil_mg": "mg/l",
-    "herbicide": "kg/ha",
-    "insecticide": "g/ha",
+class FactorSpec(NamedTuple):
+    """Where a factor is read from, its unit, and the precision of its reported optimum."""
+
+    table: str  # "Soil" (joined through the fact's SoilKey) or "FieldFact" (the fact's own measure)
+    attribute: str
+    unit: str
+    digits: int  # decimal digits of the reported optimal value
+
+
+FACTOR_SPECS = {
+    "soil_ph": FactorSpec("Soil", "PH", "pH", 1),
+    "soil_p": FactorSpec("Soil", "Phosphorus", "mg/l", 0),
+    "soil_k": FactorSpec("Soil", "Potassium", "mg/l", 0),
+    "soil_mg": FactorSpec("Soil", "Magnesium", "mg/l", 0),
+    "herbicide": FactorSpec("FieldFact", "HerbicideQty", "kg/ha", 1),
+    "insecticide": FactorSpec("FieldFact", "InsecticideQty", "g/ha", 0),
 }
-
-# Reporting precision per unit: decimal digits for the optimal value.
-_UNIT_DIGITS = {"pH": 1, "mg/l": 0, "kg/ha": 1, "g/ha": 0}
-
-# factor name -> attribute of the Soil dimension it is read from
-_SOIL_ATTRS = {
-    "soil_ph": "PH",
-    "soil_p": "Phosphorus",
-    "soil_k": "Potassium",
-    "soil_mg": "Magnesium",
-}
+FACTORS = tuple(FACTOR_SPECS)
+FACTOR_UNITS = {factor: spec.unit for factor, spec in FACTOR_SPECS.items()}
 
 GROUPS = (1, 2, 3, 4, 5)
 MIN_RECORDS_PER_CROP = 5
@@ -47,10 +46,6 @@ RULE_WELCH_T = "welch-t"
 VERDICT_OPTIMAL = "optimal"
 VERDICT_NOT_DISCRIMINATIVE = "not-discriminative"
 VERDICT_INSUFFICIENT = "insufficient-data"
-
-DISCRIMINATIVE = "discriminative"
-NOT_DISCRIMINATIVE = "not"
-INSUFFICIENT = "insufficient"
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,15 @@ class YieldRecord:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Quintile labels for one crop, over (yield desc, record id asc) order."""
+    """One crop's records in (yield desc, record id asc) order with their quintile labels."""
 
     crop: str
-    record_ids: tuple[int, ...]  # in sorted order
-    labels: tuple[int, ...]  # parallel to record_ids, values 1..5
+    records: tuple[YieldRecord, ...]
+    labels: tuple[int, ...]  # parallel to records, values 1..5
+
+    @property
+    def record_ids(self) -> tuple[int, ...]:
+        return tuple(r.record_id for r in self.records)
 
     def label_of(self) -> dict[int, int]:
         return dict(zip(self.record_ids, self.labels))
@@ -130,15 +129,6 @@ class SignificanceRule:
             return {"kind": self.kind, "threshold": self.threshold, "min_count": self.min_count}
         return {"kind": self.kind, "alpha": self.alpha, "min_count": self.min_count}
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "SignificanceRule":
-        return cls(
-            kind=doc.get("kind", RULE_RELATIVE_GAP),
-            threshold=doc.get("threshold", 0.10),
-            alpha=doc.get("alpha", 0.05),
-            min_count=doc.get("min_count", 5),
-        )
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -172,11 +162,13 @@ def _dimension_row(snapshot: Snapshot, dim: str, sk) -> Mapping | None:
 def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None = None) -> list[YieldRecord]:
     """One record per FieldFact row with a yield and a resolvable crop.
 
-    Soil factors come from the joined Soil dimension, spray quantities from
-    the fact's own measures; anything unjoined or unset stays absent. Crop
-    names are harmonized through the builtin synonym table when possible.
+    Each factor is read as ``FACTOR_SPECS`` says: from the joined Soil
+    dimension or from the fact's own measures; anything unjoined or unset
+    stays absent. Crop names are harmonized through the builtin synonym
+    table when possible.
     """
     table = synonyms if synonyms is not None else builtin_crop_synonyms()
+    reads = [(factor, spec.attribute, spec.table == "FieldFact") for factor, spec in FACTOR_SPECS.items()]
     records: list[YieldRecord] = []
     for ordinal, fact in enumerate(snapshot.rows("FieldFact"), start=1):
         yield_value = fact.get("YieldValue")
@@ -201,15 +193,12 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
 
         factors: dict[str, float] = {}
         soil = _dimension_row(snapshot, "Soil", fact.get("SoilKey"))
-        if soil is not None:
-            for factor, attr in _SOIL_ATTRS.items():
-                value = soil.get(attr)
+        for factor, attr, on_fact in reads:
+            row = fact if on_fact else soil
+            if row is not None:
+                value = row.get(attr)
                 if value is not None:
                     factors[factor] = value
-        if fact.get("HerbicideQty") is not None:
-            factors["herbicide"] = fact["HerbicideQty"]
-        if fact.get("InsecticideQty") is not None:
-            factors["insecticide"] = fact["InsecticideQty"]
 
         records.append(
             YieldRecord(
@@ -261,7 +250,7 @@ def assign_groups(records: Iterable[YieldRecord]) -> dict[str, GroupAssignment]:
         n = len(ordered)
         out[crop] = GroupAssignment(
             crop=crop,
-            record_ids=tuple(r.record_id for r in ordered),
+            records=tuple(ordered),
             labels=tuple(quintile_label(i, n) for i in range(n)),
         )
     return out
@@ -275,12 +264,11 @@ def pct_vs_median_group(mean_g: float, mean_3: float) -> float:
     return 100.0 * (mean_g / mean_3 - 1.0)
 
 
-def yield_group_stats(assignment: GroupAssignment, records: Iterable[YieldRecord]) -> GroupYieldStats:
+def yield_group_stats(assignment: GroupAssignment) -> GroupYieldStats:
     """Mean yield per group and percent versus the median group (group 3)."""
-    yields = {r.record_id: r.yield_value for r in records}
     per_group: list[list[float]] = [[] for _ in GROUPS]
-    for record_id, label in zip(assignment.record_ids, assignment.labels):
-        per_group[label - 1].append(yields[record_id])
+    for record, label in zip(assignment.records, assignment.labels):
+        per_group[label - 1].append(record.yield_value)
     try:
         means = tuple(_mean(vals) for vals in per_group)
     except OverflowError:
@@ -297,23 +285,22 @@ def yield_group_stats(assignment: GroupAssignment, records: Iterable[YieldRecord
     )
 
 
-def factor_group_means(
-    assignment: GroupAssignment, records: Iterable[YieldRecord], factor: str
-) -> FactorGroupStats:
+def factor_group_means(assignment: GroupAssignment, factor: str) -> FactorGroupStats:
     """Per-group mean/sd/count of one factor, skipping records where it is absent.
 
     A value that is not finite raises ConfigError naming the record, and values
     too large to average or spread raise ConfigError naming the crop.
     """
-    if factor not in FACTORS:
+    if factor not in FACTOR_SPECS:
         raise ConfigError(f"unknown factor {factor!r}; expected one of {', '.join(FACTORS)}")
-    values = {r.record_id: r.factors.get(factor) for r in records}
     per_group: list[list[float]] = [[] for _ in GROUPS]
-    for record_id, label in zip(assignment.record_ids, assignment.labels):
-        value = values.get(record_id)
+    for record, label in zip(assignment.records, assignment.labels):
+        value = record.factors.get(factor)
         if value is not None:
             if not isfinite(value):
-                raise ConfigError(f"record {record_id}: factor {factor} value {value!r} is not a finite number")
+                raise ConfigError(
+                    f"record {record.record_id}: factor {factor} value {value!r} is not a finite number"
+                )
             per_group[label - 1].append(value)
     means: list[float | None] = []
     sds: list[float | None] = []
@@ -371,76 +358,58 @@ def welch_t_from_summary(
 
 
 def is_discriminative(stats: FactorGroupStats, rule: SignificanceRule) -> tuple[str, float | None]:
-    """(verdict, statistic): verdict is discriminative / not / insufficient.
+    """(verdict, statistic): VERDICT_OPTIMAL, VERDICT_NOT_DISCRIMINATIVE or VERDICT_INSUFFICIENT.
 
     The statistic is the relative gap for the gap rule, or Welch's t for the
     t rule; None when the data is insufficient to evaluate the rule.
     """
     n1, n5 = stats.counts[0], stats.counts[4]
     if n1 < rule.min_count or n5 < rule.min_count:
-        return INSUFFICIENT, None
+        return VERDICT_INSUFFICIENT, None
     m1, m5 = stats.means[0], stats.means[4]
     assert m1 is not None and m5 is not None
     if rule.kind == RULE_RELATIVE_GAP:
         gap = abs(m1 - m5) / max(abs(m1), 1e-9)
-        return (DISCRIMINATIVE if gap >= rule.threshold else NOT_DISCRIMINATIVE), gap
+        return (VERDICT_OPTIMAL if gap >= rule.threshold else VERDICT_NOT_DISCRIMINATIVE), gap
     if n1 < 2 or n5 < 2:  # Welch needs a variance estimate per side
-        return INSUFFICIENT, None
+        return VERDICT_INSUFFICIENT, None
     sd1 = stats.sds[0] if stats.sds[0] is not None else 0.0
     sd5 = stats.sds[4] if stats.sds[4] is not None else 0.0
     t_stat, _, p = welch_t_from_summary(n1, m1, sd1, n5, m5, sd5)
-    return (DISCRIMINATIVE if p < rule.alpha else NOT_DISCRIMINATIVE), t_stat
+    return (VERDICT_OPTIMAL if p < rule.alpha else VERDICT_NOT_DISCRIMINATIVE), t_stat
 
 
 def round_optimal_value(factor: str, mean: float) -> float:
-    digits = _UNIT_DIGITS[FACTOR_UNITS[factor]]
+    digits = FACTOR_SPECS[factor].digits
     rounded = round(mean, digits)
     return float(rounded) if digits else float(int(rounded))
 
 
 # --- mining --------------------------------------------------------------------
 
-def _finding(crop: str, factor: str, verdict: str, value, stats: FactorGroupStats | None,
-             rule: SignificanceRule, statistic: float | None) -> OptimalFinding:
-    if stats is None:
-        evidence = Evidence(group_means=(None,) * 5, group_counts=(0,) * 5, rule=rule.as_dict(), statistic=None)
-    else:
-        evidence = Evidence(
-            group_means=stats.means, group_counts=stats.counts, rule=rule.as_dict(), statistic=statistic
-        )
-    return OptimalFinding(
-        crop=crop, factor=factor, verdict=verdict, value=value,
-        unit=FACTOR_UNITS[factor], evidence=evidence,
-    )
-
-
 def mine_optima_from_records(
     records: Sequence[YieldRecord], rule: SignificanceRule | None = None
 ) -> list[OptimalFinding]:
-    """One finding per (crop, factor), crops in canonical name order."""
+    """One finding per (crop, factor), crops in canonical name order.
+
+    A crop with fewer than 5 records has an empty assignment, so each of its
+    factors is insufficient-data with empty evidence.
+    """
     rule = rule if rule is not None else SignificanceRule()
     assignments = assign_groups(records)
-    crops = sorted({r.crop for r in records})
-    by_crop: dict[str, list[YieldRecord]] = {}
-    for r in records:
-        by_crop.setdefault(r.crop, []).append(r)
-
     findings: list[OptimalFinding] = []
-    for crop in crops:
-        assignment = assignments.get(crop)
-        for factor in FACTORS:
-            if assignment is None:
-                findings.append(_finding(crop, factor, VERDICT_INSUFFICIENT, None, None, rule, None))
-                continue
-            stats = factor_group_means(assignment, by_crop[crop], factor)
+    for crop in sorted({r.crop for r in records}):
+        assignment = assignments.get(crop, GroupAssignment(crop=crop, records=(), labels=()))
+        for factor, spec in FACTOR_SPECS.items():
+            stats = factor_group_means(assignment, factor)
             verdict, statistic = is_discriminative(stats, rule)
-            if verdict == DISCRIMINATIVE:
+            value = None
+            if verdict == VERDICT_OPTIMAL:
                 value = round_optimal_value(factor, stats.means[0])  # type: ignore[arg-type]
-                findings.append(_finding(crop, factor, VERDICT_OPTIMAL, value, stats, rule, statistic))
-            elif verdict == NOT_DISCRIMINATIVE:
-                findings.append(_finding(crop, factor, VERDICT_NOT_DISCRIMINATIVE, None, stats, rule, statistic))
-            else:
-                findings.append(_finding(crop, factor, VERDICT_INSUFFICIENT, None, stats, rule, statistic))
+            evidence = Evidence(
+                group_means=stats.means, group_counts=stats.counts, rule=rule.as_dict(), statistic=statistic
+            )
+            findings.append(OptimalFinding(crop, factor, verdict, value, spec.unit, evidence))
     return findings
 
 

@@ -29,28 +29,29 @@ def _load_catalog_arg(path: str | None):
     return load_catalog(path)
 
 
+# Rule spec prefix -> (rule kind, its optional parts with their parsers, in order).
+_RULE_SPECS = {
+    "gap": (analytics.RULE_RELATIVE_GAP, (("threshold", float), ("min_count", int))),
+    "welch": (analytics.RULE_WELCH_T, (("alpha", float), ("min_count", int))),
+}
+
+
 def _parse_rule(text: str) -> analytics.SignificanceRule:
-    """Rule syntax: gap:<threshold>[:<min-count>] or welch:<alpha>[:<min-count>]."""
-    parts = text.split(":")
-    kind = parts[0]
+    """Rule syntax: gap[:<threshold>[:<min-count>]] or welch[:<alpha>[:<min-count>]].
+
+    An omitted part takes the SignificanceRule default.
+    """
+    name, *parts = text.split(":")
+    if name not in _RULE_SPECS:
+        raise ConfigError(f"unknown rule {name!r}; use gap:<threshold> or welch:<alpha>")
+    kind, fields = _RULE_SPECS[name]
+    if len(parts) > len(fields):
+        raise ConfigError(f"bad rule spec {text!r}: at most {len(fields)} parts after {name!r}")
     try:
-        if kind == "gap":
-            rule = analytics.SignificanceRule(
-                kind=analytics.RULE_RELATIVE_GAP,
-                threshold=float(parts[1]) if len(parts) > 1 else 0.10,
-                min_count=int(parts[2]) if len(parts) > 2 else 5,
-            )
-        elif kind == "welch":
-            rule = analytics.SignificanceRule(
-                kind=analytics.RULE_WELCH_T,
-                alpha=float(parts[1]) if len(parts) > 1 else 0.05,
-                min_count=int(parts[2]) if len(parts) > 2 else 5,
-            )
-        else:
-            raise ConfigError(f"unknown rule {kind!r}; use gap:<threshold> or welch:<alpha>")
-    except (ValueError, IndexError) as exc:
+        given = {key: parse(part) for (key, parse), part in zip(fields, parts)}
+    except ValueError as exc:
         raise ConfigError(f"bad rule spec {text!r}: {exc}") from exc
-    return rule
+    return analytics.SignificanceRule(kind=kind, **given)
 
 
 def _cmd_catalog_validate(args) -> int:
@@ -82,6 +83,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    rule = _parse_rule(args.rule)
+    if args.mode == "factor" and args.factor not in analytics.FACTORS:
+        print(f"unknown factor {args.factor!r}; valid factors: {', '.join(analytics.FACTORS)}", file=sys.stderr)
+        return 2
     catalog = _load_catalog_arg(args.catalog)
     store = open_store(args.store, catalog)
     snapshot = store.snapshot()
@@ -90,22 +95,15 @@ def _cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = analytics.extract_yield_records(snapshot)
-    rule = _parse_rule(args.rule)
 
     if args.mode == "groups":
         assignments = analytics.assign_groups(records)
-        stats = [analytics.yield_group_stats(a, records) for a in assignments.values()]
+        stats = [analytics.yield_group_stats(a) for a in assignments.values()]
         path = report.emit_group_table(stats, args.format, out_dir / f"group_table{_SUFFIX[args.format]}")
         print(f"group table: {path}", file=sys.stderr)
     elif args.mode == "factor":
-        if args.factor not in analytics.FACTORS:
-            print(
-                f"unknown factor {args.factor!r}; valid factors: {', '.join(analytics.FACTORS)}",
-                file=sys.stderr,
-            )
-            return 2
         assignments = analytics.assign_groups(records)
-        stats = [analytics.factor_group_means(a, records, args.factor) for a in assignments.values()]
+        stats = [analytics.factor_group_means(a, args.factor) for a in assignments.values()]
         path = out_dir / f"factor_{args.factor}{_SUFFIX[args.format]}"
         path = report.emit_factor_series(stats, path, args.format)
         print(f"factor series: {path}", file=sys.stderr)

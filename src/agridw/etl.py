@@ -422,11 +422,19 @@ class _BindingFailure(Exception):
         self.reason = reason
 
 
+def _as_float(value) -> float:
+    """A non-bool int or float as a float; anything else, or an int beyond float range, is a type error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _BindingFailure(REASON_TYPE)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _BindingFailure(REASON_TYPE) from None
+
+
 def _parse_number(text) -> float:
     if not isinstance(text, str):
-        if isinstance(text, bool) or not isinstance(text, (int, float)):
-            raise _BindingFailure(REASON_TYPE)
-        value = float(text)
+        value = _as_float(text)
     else:
         try:
             value = float(text)
@@ -532,9 +540,7 @@ class CompiledMapping:
                         raise _BindingFailure(REASON_MISSING)
                     continue
                 if attr.kind == "number":
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise _BindingFailure(REASON_TYPE)
-                    value = float(value)
+                    value = _as_float(value)
                     if bounds is not None:
                         lo, hi, lo_exclusive = bounds
                         if value < lo or value > hi or (lo_exclusive and value == lo):

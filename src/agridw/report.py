@@ -13,6 +13,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .analytics import (
+    FACTOR_SPECS,
+    GROUPS,
     Evidence,
     FactorGroupStats,
     GroupYieldStats,
@@ -36,7 +38,7 @@ def _pct_text(pct: float) -> str:
 def _group_rows(stats: Sequence[GroupYieldStats]) -> list[tuple[int, str, str, str]]:
     rows = []
     for s in sorted(stats, key=lambda s: s.crop):
-        for g in range(1, 6):
+        for g in GROUPS:
             rows.append((g, s.crop, f"{s.means[g - 1]:.2f}", _pct_text(s.pcts[g - 1])))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows
@@ -83,7 +85,7 @@ def emit_factor_series(
     rows = [
         (s.crop, s.factor, g, s.means[g - 1], s.counts[g - 1], s.sds[g - 1])
         for s in sorted(stats, key=lambda s: (s.factor, s.crop))
-        for g in range(1, 6)
+        for g in GROUPS
     ]
     if fmt == FORMAT_DELIMITED:
         out = io.StringIO()
@@ -134,9 +136,10 @@ def finding_from_dict(doc: Mapping) -> OptimalFinding:
 
 def _value_text(finding: OptimalFinding) -> str:
     assert finding.value is not None
-    if finding.unit in ("mg/l", "g/ha"):
-        return str(int(finding.value))
-    return f"{finding.value:.1f}"  # pH and kg/ha report one decimal
+    spec = FACTOR_SPECS.get(finding.factor)
+    if spec is None:
+        raise ConfigError(f"finding for unknown factor {finding.factor!r}")
+    return f"{finding.value:.{spec.digits}f}"
 
 
 def _findings_markdown(findings: Sequence[OptimalFinding]) -> str:

@@ -101,7 +101,7 @@ def _check_quintiles(yields: list[float]) -> None:
         if current and nxt:
             assert max(nxt) <= min(current)
 
-    stats = yield_group_stats(assignment, records)
+    stats = yield_group_stats(assignment)
     for c in (0.5, 3.0):
         scaled = [
             YieldRecord(record_id=i + 1, crop="X", yield_value=y * c)
@@ -110,7 +110,7 @@ def _check_quintiles(yields: list[float]) -> None:
         scaled_assignment = assign_groups(scaled)["X"]
         assert scaled_assignment.record_ids == assignment.record_ids
         assert scaled_assignment.labels == assignment.labels
-        scaled_stats = yield_group_stats(scaled_assignment, scaled)
+        scaled_stats = yield_group_stats(scaled_assignment)
         for p1, p2 in zip(stats.pcts, scaled_stats.pcts):
             assert abs(p1 - p2) <= 1e-9
 
@@ -312,9 +312,9 @@ def test_c6_persistence(tmp_path):
             snapshot = store_obj.snapshot()
             records = extract_yield_records(snapshot)
             assignments = assign_groups(records)
-            group_stats = [yield_group_stats(a, records) for a in assignments.values()]
+            group_stats = [yield_group_stats(a) for a in assignments.values()]
             emit_group_table(group_stats, "delimited", out / "group_table.csv")
-            series = [factor_group_means(a, records, "soil_ph") for a in assignments.values()]
+            series = [factor_group_means(a, "soil_ph") for a in assignments.values()]
             emit_factor_series(series, out / "factor_soil_ph.csv")
             findings = mine_optima(snapshot, SignificanceRule(threshold=0.2))
             emit_findings(findings, "json", out / "findings.json")

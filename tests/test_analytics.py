@@ -114,8 +114,8 @@ class TestAssignGroups:
         scaled = assign_groups(_records([y * c for y in yields]))["Grass"]
         assert base.record_ids == scaled.record_ids
         assert base.labels == scaled.labels
-        stats_base = yield_group_stats(base, _records(yields))
-        stats_scaled = yield_group_stats(scaled, _records([y * c for y in yields]))
+        stats_base = yield_group_stats(base)
+        stats_scaled = yield_group_stats(scaled)
         for p1, p2 in zip(stats_base.pcts, stats_scaled.pcts):
             assert abs(p1 - p2) <= 1e-9
 
@@ -139,14 +139,14 @@ class TestRejectsUngroupableYields:
     def test_means_beyond_float_range_rejected(self, top):
         records = _records([top] * 4 + [5e-324] * 6)
         with pytest.raises(ConfigError, match="Grass"):
-            yield_group_stats(assign_groups(records)["Grass"], records)
+            yield_group_stats(assign_groups(records)["Grass"])
 
     @given(st.lists(st.floats(), min_size=5, max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_rejects_or_returns_finite_percentages(self, yields):
         records = _records(yields)
         try:
-            stats = [yield_group_stats(a, records) for a in assign_groups(records).values()]
+            stats = [yield_group_stats(a) for a in assign_groups(records).values()]
         except ConfigError:
             usable = all(0.0 < y < 1e300 for y in yields) and max(yields) / min(yields) < 1e300
             assert not usable, "rejected yields that group to finite percentages"
@@ -160,7 +160,7 @@ class TestRejectsNonFiniteFactors:
         factors = [{"soil_ph": bad if i % 2 else 6.0 + i / 100} for i in range(40)]
         records = _records([float(40 - i) for i in range(40)], factors=factors)
         with pytest.raises(ConfigError, match="record 2: factor soil_ph"):
-            factor_group_means(assign_groups(records)["Grass"], records, "soil_ph")
+            factor_group_means(assign_groups(records)["Grass"], "soil_ph")
         with pytest.raises(ConfigError, match="record 2: factor soil_ph"):
             mine_optima_from_records(records)
 
@@ -173,7 +173,7 @@ class TestRejectsNonFiniteFactors:
         )
         assignment = assign_groups(records)["Grass"]
         try:
-            stats = factor_group_means(assignment, records, "herbicide")
+            stats = factor_group_means(assignment, "herbicide")
         except ConfigError:
             present = [v for v in values if v is not None]
             usable = all(abs(v) < 1e150 for v in present)  # NaN fails too
@@ -196,7 +196,7 @@ class TestYieldGroupStats:
         yields.sort(reverse=True)
         records = _records(yields, crop="Spring Barley")
         assignment = assign_groups(records)["Spring Barley"]
-        stats = yield_group_stats(assignment, records)
+        stats = yield_group_stats(assignment)
         for got, expected in zip(stats.means, means):
             assert abs(got - expected) < 1e-9
         expected_pcts = (37.0, 12.3, 0.0, -10.9, -34.7)
@@ -211,12 +211,12 @@ class TestYieldGroupStats:
     def test_all_equal_pcts_zero(self):
         records = _records([4.0] * 10)
         assignment = assign_groups(records)["Grass"]
-        stats = yield_group_stats(assignment, records)
+        stats = yield_group_stats(assignment)
         assert stats.pcts == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_group3_identity_exact(self):
         records = _records([10.0, 8.0, 6.5, 4.0, 2.0])
-        stats = yield_group_stats(assign_groups(records)["Grass"], records)
+        stats = yield_group_stats(assign_groups(records)["Grass"])
         assert stats.pcts[2] == 0.0
 
     def test_pct_strictly_increasing_in_mean(self):
@@ -247,7 +247,7 @@ class TestFactorGroupMeans:
         factors = [{"soil_ph": 6.0}] * 2 + [{"soil_ph": 7.0}] * 8
         records = _records([10, 9, 8, 7, 6, 5, 4, 3, 2, 1], factors=factors)
         assignment = assign_groups(records)["Grass"]
-        stats = factor_group_means(assignment, records, "soil_ph")
+        stats = factor_group_means(assignment, "soil_ph")
         assert stats.counts[0] == 2
         assert stats.means[0] == 6.0
 
@@ -255,13 +255,13 @@ class TestFactorGroupMeans:
         factors = [{"soil_ph": 6.0}, {}, {"soil_ph": 6.4}, {"soil_ph": 6.6}, {"soil_ph": 6.8}]
         records = _records([10, 9, 8, 7, 6], factors=factors)
         assignment = assign_groups(records)["Grass"]
-        stats = factor_group_means(assignment, records, "soil_ph")
+        stats = factor_group_means(assignment, "soil_ph")
         assert stats.counts == (1, 0, 1, 1, 1)
         assert stats.means[1] is None
 
     def test_factor_never_present(self):
         records = _records([10, 9, 8, 7, 6])
-        stats = factor_group_means(assign_groups(records)["Grass"], records, "herbicide")
+        stats = factor_group_means(assign_groups(records)["Grass"], "herbicide")
         assert stats.counts == (0,) * 5
         assert stats.means == (None,) * 5
 
@@ -274,17 +274,17 @@ class TestFactorGroupMeans:
         yields = [round(rng.uniform(2, 20), 2) for _ in range(25)]
         records = _records(yields, factors=factors)
         assignment = assign_groups(records)["Grass"]
-        before = factor_group_means(assignment, records, "soil_ph")
+        before = factor_group_means(assignment, "soil_ph")
         bumped = [dict(f) for f in factors]
         bumped[7]["herbicide"] = 999.0
         records2 = _records(yields, factors=bumped)
-        after = factor_group_means(assign_groups(records2)["Grass"], records2, "soil_ph")
+        after = factor_group_means(assign_groups(records2)["Grass"], "soil_ph")
         assert before == after
 
     def test_unknown_factor_rejected(self):
         records = _records([10, 9, 8, 7, 6])
         with pytest.raises(Exception, match="soil_zn"):
-            factor_group_means(assign_groups(records)["Grass"], records, "soil_zn")
+            factor_group_means(assign_groups(records)["Grass"], "soil_zn")
 
 
 # --- significance rules -------------------------------------------------------------
@@ -301,13 +301,13 @@ def _stats(means, counts=(10,) * 5, sds=(1.0,) * 5, factor="soil_ph"):
 class TestRelativeGapRule:
     def test_clear_gap(self):
         verdict, stat = is_discriminative(_stats((61, 60, 58, 52, 45)), SignificanceRule(threshold=0.10))
-        assert verdict == "discriminative"
+        assert verdict == "optimal"
         assert abs(stat - (61 - 45) / 61) < 1e-12  # 26.2% gap
 
     def test_equal_means_never_discriminative(self):
         for tau in (0.01, 0.1, 0.5, 0.99):
             verdict, _ = is_discriminative(_stats((50,) * 5), SignificanceRule(threshold=tau))
-            assert verdict == "not"
+            assert verdict == "not-discriminative"
 
     def test_count_guard(self):
         stats = _stats((61, 60, 58, 52, 45), counts=(10, 10, 10, 10, 0), means=None) if False else None
@@ -318,7 +318,7 @@ class TestRelativeGapRule:
             sds=(1.0, 1.0, 1.0, 1.0, None),
         )
         verdict, stat = is_discriminative(low, SignificanceRule())
-        assert verdict == "insufficient"
+        assert verdict == "insufficient-data"
         assert stat is None
 
     def test_threshold_monotonicity(self):
@@ -328,11 +328,11 @@ class TestRelativeGapRule:
         # once not-discriminative at some tau, stays so for larger tau
         seen_not = False
         for v in verdicts:
-            if v == "not":
+            if v == "not-discriminative":
                 seen_not = True
             if seen_not:
-                assert v == "not"
-        assert verdicts[0] == "discriminative"
+                assert v == "not-discriminative"
+        assert verdicts[0] == "optimal"
 
 
 WELCH_FIXTURES = [
@@ -383,11 +383,11 @@ class TestWelchOracle:
     def test_welch_rule_verdicts(self):
         separated = _stats((7.2, 7.0, 6.5, 6.2, 6.0), sds=(0.1,) * 5)
         verdict, stat = is_discriminative(separated, SignificanceRule(kind="welch-t", alpha=0.05))
-        assert verdict == "discriminative"
+        assert verdict == "optimal"
         assert stat > 0
         same = _stats((6.0,) * 5, sds=(0.5,) * 5)
         verdict, _ = is_discriminative(same, SignificanceRule(kind="welch-t", alpha=0.05))
-        assert verdict == "not"
+        assert verdict == "not-discriminative"
 
 
 # --- extraction ----------------------------------------------------------------------
@@ -511,6 +511,10 @@ class TestMineOptima:
         findings = mine_optima_from_records(records)
         assert len(findings) == len(FACTORS)
         assert all(f.verdict == "insufficient-data" for f in findings)
+        for f in findings:
+            assert f.evidence.group_means == (None,) * 5
+            assert f.evidence.group_counts == (0,) * 5
+            assert f.evidence.statistic is None
 
     def test_snapshot_roundtrip(self, store_dir):
         store = open_store(store_dir, CATALOG)

@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import agridw
 
+from agridw.analytics import SignificanceRule
 from agridw.catalog import builtin_catalog, save_catalog, serialize_catalog
-from agridw.cli import main
+from agridw.cli import _parse_rule, main
+from agridw.errors import ConfigError
 from agridw.report import load_findings
 from agridw.store import open_store
 from agridw.util import fnv1a64
@@ -65,6 +69,22 @@ def _synth_config(tmp_path, records=60, seed=3):
         ],
     }
     return _write(tmp_path / "synth.json", json.dumps(doc))
+
+
+class TestParseRule:
+    def test_omitted_parts_take_the_rule_defaults(self):
+        assert _parse_rule("gap") == SignificanceRule()
+        assert _parse_rule("welch") == SignificanceRule(kind="welch-t")
+        assert _parse_rule("gap:0.2:7") == SignificanceRule(threshold=0.2, min_count=7)
+
+    def test_metadata_rule_for_the_documented_specs(self):
+        assert _parse_rule("gap:0.20").as_dict() == {"kind": "relative-gap", "threshold": 0.2, "min_count": 5}
+        assert _parse_rule("welch:0.05").as_dict() == {"kind": "welch-t", "alpha": 0.05, "min_count": 5}
+
+    @pytest.mark.parametrize("spec", ["gap:0.1:5:9", "welch:0.05:5:", "gap:", "welch:0.05:five"])
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ConfigError, match="rule"):
+            _parse_rule(spec)
 
 
 class TestCatalogValidate:
@@ -229,6 +249,21 @@ class TestAnalyze:
         store = self._loaded_store(tmp_path)
         assert main(["analyze", "mine", "--store", store, "--out", str(tmp_path / "o"),
                      "--rule", "chi2:0.05"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--rule", "bogus:1"],
+            ["mine", "--rule", "gap:0.1:5:9"],
+            ["groups", "--rule", "welch:x"],
+            ["factor", "--factor", "soil_zn"],
+        ],
+        ids=["unknown-rule", "extra-rule-part", "bad-rule-level", "unknown-factor"],
+    )
+    def test_bad_arguments_exit_two_before_opening_the_store(self, tmp_path, argv):
+        store, out = tmp_path / "store", tmp_path / "out"
+        assert main(["analyze", *argv, "--store", str(store), "--out", str(out)]) == 2
+        assert not store.exists() and not out.exists()
 
     def test_empty_store_exit_two(self, tmp_path, capsys):
         from agridw.store import open_store

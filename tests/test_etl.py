@@ -315,22 +315,32 @@ class TestApplyMapping:
         assert reject.binding == "YieldValue"
 
     @pytest.mark.parametrize(
-        "table, target, value, reason",
+        "table, target, value, reason, chain",
         [
-            ("FieldFact", "YieldValue", float("inf"), "range-error"),  # ton/ha: the range check comes first
-            ("FieldFact", "YieldValue", float("nan"), "type-error"),  # NaN passes the range check, fails finiteness
-            ("FieldFact", "HerbicideQty", float("inf"), "type-error"),  # kg/ha has no range
-            ("FieldFact", "YieldValue", True, "type-error"),
-            ("FieldFact", "YieldValue", "8.5", "type-error"),  # a number attribute needs a number
-            ("Crop", "VarietyName", 3, "type-error"),  # a text attribute needs text
+            ("FieldFact", "YieldValue", float("inf"), "range-error", ("constant",)),  # ton/ha: the range check comes first
+            ("FieldFact", "YieldValue", float("nan"), "type-error", ("constant",)),  # NaN passes the range check, fails finiteness
+            ("FieldFact", "HerbicideQty", float("inf"), "type-error", ("constant",)),  # kg/ha has no range
+            ("FieldFact", "YieldValue", True, "type-error", ("constant",)),
+            ("FieldFact", "YieldValue", "8.5", "type-error", ("constant",)),  # a number attribute needs a number
+            ("Crop", "VarietyName", 3, "type-error", ("constant",)),  # a text attribute needs text
+            # an int beyond float range, as a mapping JSON can hold it
+            pytest.param("FieldFact", "YieldValue", 10**400, "type-error", ("constant",),
+                         id="FieldFact-YieldValue-huge-int-type-error-constant"),
+            pytest.param("FieldFact", "YieldValue", 10**400, "type-error", ("nullable-default",),
+                         id="FieldFact-YieldValue-huge-int-type-error-nullable-default"),
+            pytest.param("FieldFact", "HerbicideQty", 10**400, "type-error", ("constant", "parse-number"),
+                         id="FieldFact-HerbicideQty-huge-int-type-error-constant+parse-number"),
         ],
+        ids=lambda v: "+".join(v) if isinstance(v, tuple) else None,
     )
-    def test_constant_checked_like_parsed_values(self, table, target, value, reason):
+    def test_constant_checked_like_parsed_values(self, table, target, value, reason, chain):
         keys = [{"source": "id", "target": "CropID"}, {"source": "name", "target": "CropName"}]
+        transforms = [{"op": op, "value": value} if op in ("constant", "nullable-default") else {"op": op}
+                      for op in chain]
         spec = mapping_from_dict({
             "target_table": table,
             "bindings": (keys if table == "Crop" else [])
-            + [{"source": "", "target": target, "transforms": [{"op": "constant", "value": value}]}],
+            + [{"source": "", "target": target, "transforms": transforms}],
         })
         reject = apply_mapping(_raw({"id": "C1", "name": "Grass"}), spec, CATALOG)
         assert isinstance(reject, RejectRecord)

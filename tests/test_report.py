@@ -209,6 +209,13 @@ class TestFindings:
         text = emit_findings([finding], FORMAT_MARKDOWN, tmp_path / "f.md").read_text()
         assert "21 mg/l" in text
 
+    def test_markdown_optimum_of_unknown_factor_rejected(self, tmp_path):
+        # the reported precision comes from the factor table, which has no entry for it
+        path = tmp_path / "f.md"
+        with pytest.raises(ConfigError, match="soil_zn"):
+            emit_findings([_finding(factor="soil_zn")], FORMAT_MARKDOWN, path)
+        assert not path.exists()
+
 
 class TestRunMetadata:
     def test_contents(self, tmp_path):
