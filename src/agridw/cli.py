@@ -87,6 +87,8 @@ def _cmd_analyze(args) -> int:
     if args.mode == "factor" and args.factor not in analytics.FACTORS:
         print(f"unknown factor {args.factor!r}; valid factors: {', '.join(analytics.FACTORS)}", file=sys.stderr)
         return 2
+    if args.mode == "factor" and args.format == report.FORMAT_MARKDOWN:
+        raise ConfigError("factor series have no markdown format; use --format delimited or json")
     catalog = _load_catalog_arg(args.catalog)
     store = open_store(args.store, catalog)
     snapshot = store.snapshot()

@@ -20,7 +20,9 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -121,42 +123,60 @@ class _TableState:
         self.checked = True
 
     @contextmanager
-    def _reading(self) -> Iterator[Iterator[list[str]]]:
-        """The prefix's records; a cell that does not decode, or a record short of a
-        natural-key column, is a StoreError naming the table."""
+    def _readable(self) -> Iterator[None]:
+        """A prefix that does not decode, a record short of a wanted cell or a
+        cell its decoder refuses is a StoreError naming the table."""
         try:
-            yield csv.reader(io.StringIO(self.prefix.decode("utf-8")))
-        except (ValueError, IndexError, csv.Error) as exc:
+            yield
+        except (ValueError, IndexError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise StoreError(f"table {self.table.name!r}: unreadable data file: {exc}") from exc
+
+    def _records(self, maxsplit: int = -1) -> Iterator[list[str]]:
+        """The prefix's records as ``csv.reader`` reads them, one at a time.
+        With ``maxsplit`` a record may end in one cell holding the rest of its
+        line, so only its first ``maxsplit`` cells are exact. Iterate inside
+        ``_readable``."""
+        text = self.prefix.decode("utf-8")
+        if '"' in text or "\r" in text:  # only csv.reader reads quoted cells
+            return csv.reader(io.StringIO(text))
+        # No cell is quoted: each "\n" ends a record and each "," ends a cell.
+        # Not splitlines, which also breaks at "\x0c", "\x85", "\u2028" and
+        # other characters a cell may hold.
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        records = map(str.split, lines, repeat(","), repeat(maxsplit))
+        if "" in lines:  # csv.reader reads a blank line as a record of no cells
+            return (record if line else [] for line, record in zip(lines, records))
+        return records
 
     def index(self) -> None:
         """Build the natural-key indexes from the natural-key columns alone and
-        check the row count; the ``sk`` of a row is its position."""
+        check the row count; the ``sk`` of a row is its position, and the
+        first row of a key wins."""
         if self.by_natural is not None:
             return
+        positions = [self.columns.index(part) for part in self.table.natural_key]
         columns = []
-        with self._reading() as records:
-            records = list(records)
-            for part in self.table.natural_key:
-                i = self.columns.index(part)
+        with self._readable():
+            records = list(self._records(max(positions, default=-1) + 1))
+            for i in positions:
+                cells = list(map(itemgetter(i), records))
                 decode = self.plan[i][2]
-                cells = [record[i] for record in records]
-                columns.append(cells if decode is str else [str(decode(cell)) for cell in cells])
+                columns.append(cells if decode is str else list(map(str, map(decode, cells))))
         self._check_count(len(records))
-        by_natural: dict[tuple, int] = {}
-        by_leading: dict[str, int] = {}
-        for sk, key in enumerate(zip(*columns), 1):
-            by_natural.setdefault(key, sk)
-            by_leading.setdefault(key[0], sk)
-        self.by_natural, self.by_leading = by_natural, by_leading
+        # reversed, so that a key's first row is the one dict() keeps
+        sks = range(len(records), 0, -1)
+        self.by_natural = dict(zip(reversed(list(zip(*columns))), sks))
+        self.by_leading = dict(zip(reversed(columns[0]), sks)) if columns else {}
 
     def rows(self) -> tuple[dict, ...]:
         """Every row: the prefix parsed in full, then copies of the tail. Checks the row count."""
         decoders = [(name, decode) for name, _, decode in self.plan]
-        with self._reading() as records:
+        with self._readable():
             rows = [
                 {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
-                for record in records
+                for record in self._records()
             ]
         self._check_count(len(rows))
         rows.extend(dict(row) for row in self.tail)
@@ -219,6 +239,7 @@ class Store:
         self.catalog = catalog
         self.catalog_digest = catalog_digest(catalog)
         self.manifest_version = MANIFEST_VERSION  # as on disk; a flush writes MANIFEST_VERSION
+        self._manifest: dict | None = None  # as last read or written
         self._tables: dict[str, _TableState] = {}
         self._load_existing()
 
@@ -266,8 +287,11 @@ class Store:
                 raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
             state.load(data, entry.get("rows"))
             self._tables[name] = state
+        self._manifest = manifest
 
     def _write_manifest(self) -> None:
+        """Write the manifest unless the file already holds it: a flush that
+        appended nothing to a version 2 store rewrites nothing."""
         manifest = {
             "catalog_digest": self.catalog_digest,
             "tables": {
@@ -276,11 +300,14 @@ class Store:
             },
             "version": MANIFEST_VERSION,
         }
+        if manifest == self._manifest:
+            return
         atomic_write_text(self._manifest_path(), canonical_json(manifest))
+        self._manifest = manifest
         self.manifest_version = MANIFEST_VERSION
 
     def flush(self) -> None:
-        """Append pending rows to disk and rewrite the manifest."""
+        """Append pending rows to disk, then rewrite the manifest if it changed."""
         for name, state in self._tables.items():
             if not state.pending:
                 continue

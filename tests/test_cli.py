@@ -216,7 +216,7 @@ class TestAnalyze:
                      "--out", str(out), "--format", "markdown"])
         assert code == 2
         assert "markdown" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_factor_exit_two_lists_valid(self, tmp_path, capsys):
         store = self._loaded_store(tmp_path)
@@ -257,8 +257,9 @@ class TestAnalyze:
             ["mine", "--rule", "gap:0.1:5:9"],
             ["groups", "--rule", "welch:x"],
             ["factor", "--factor", "soil_zn"],
+            ["factor", "--factor", "soil_ph", "--format", "markdown"],
         ],
-        ids=["unknown-rule", "extra-rule-part", "bad-rule-level", "unknown-factor"],
+        ids=["unknown-rule", "extra-rule-part", "bad-rule-level", "unknown-factor", "markdown-factor-series"],
     )
     def test_bad_arguments_exit_two_before_opening_the_store(self, tmp_path, argv):
         store, out = tmp_path / "store", tmp_path / "out"

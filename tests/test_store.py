@@ -8,11 +8,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import agridw.store as store_module
 from agridw import synth
-from agridw.catalog import AttributeDef, builtin_catalog, Catalog, TableDef, validate_catalog
+from agridw.catalog import AttributeDef, builtin_catalog, Catalog, catalog_digest, TableDef, validate_catalog
 from agridw.errors import (
     CatalogMismatchError,
     DanglingKeyError,
@@ -572,6 +572,26 @@ class TestLazyReopen:
         with pytest.raises(StoreError, match="Soil"):
             reopened.snapshot()
 
+    def test_bare_carriage_return_in_a_field_key_is_a_store_error(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Field", {"FieldID": "F1", "FieldName": "North", "Area": 2.5})
+        store.upsert_dimension("Field", {"FieldID": "F2", "FieldName": "South"})
+        store.flush()
+        _forge(store_dir, "Field", b"\n1,F1,", b"\n1,F\r1,")  # unquoted, as no writer leaves it
+        with pytest.raises(StoreError, match="Field"):
+            open_store(store_dir, CATALOG).resolve_dimension("Field", "F2")
+
+    def test_soil_record_cut_before_its_key_is_a_store_error(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5})
+        store.upsert_dimension("Soil", {"SoilID": "S2", "PH": 7.25})
+        store.flush()
+        last = (Path(store_dir) / "Soil" / "data.csv").read_bytes().split(b"\n")[-2]
+        assert last.startswith(b"2,S2,")
+        _forge(store_dir, "Soil", b"\n" + last + b"\n", b"\n2\n")  # the row count still matches
+        with pytest.raises(StoreError, match="Soil"):
+            open_store(store_dir, CATALOG).resolve_dimension("Soil", "S1")
+
     def test_undecodable_natural_key_pass_names_the_table(self, store_dir):
         store = open_store(store_dir, CATALOG)
         store.upsert_dimension("Crop", _crop("C1", "Grass"))
@@ -659,3 +679,123 @@ def test_reopened_store_appends_as_the_live_store(before, after):
         reopened.flush()
         assert _csv_view(reopened_dir, CATALOG) == got.tables
         assert {name: _blake2b64_hex(data) for name, data in _data_files(reopened_dir).items()} == got.table_digests
+
+
+# Cells with every separator str.splitlines knows besides "\n", so a reader
+# that splits lines on them would disagree with csv.reader.
+_UNQUOTED_BODY = st.text(alphabet=st.sampled_from(",\n\x00\x0c\x1c\x85\u2028ab"), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=_UNQUOTED_BODY, maxsplit=st.integers(0, 4))
+@example(body="a,b\n\n,\n\nb", maxsplit=1)  # blank lines, no final newline
+@example(body="\n", maxsplit=0)
+@example(body="", maxsplit=2)
+def test_unquoted_records_equal_the_stdlib_reader(body, maxsplit):
+    state = store_module._TableState(CATALOG.table("Crop"))
+    state.load(state.header + body.encode("utf-8"), 0)
+    try:
+        want = list(csv.reader(io.StringIO(body)))
+    except csv.Error:
+        with pytest.raises(StoreError, match="Crop"), state._readable():
+            list(state._records())
+        return
+    with state._readable():
+        assert list(state._records()) == want
+        cut = list(state._records(maxsplit))
+    assert len(cut) == len(want)
+    for got, record in zip(cut, want):
+        assert got[:maxsplit] == record[:maxsplit]
+        assert ",".join(got) == ",".join(record)
+
+
+# Key texts that need quoting ('"', ",", "\n", "\r") or that splitlines would
+# break ("\u2028"); the few leading parts make multi-part keys share them.
+_LEADING = st.sampled_from(["K", "K,1", 'K"1', "K\n1", "K\r1", "K\u20281"])
+_SECOND = st.text(alphabet=st.sampled_from('ab,"\n\r\u2028'), min_size=1, max_size=3)
+_DIMENSION_KEYS = {"Crop": ("CropID", "CropName"), "Field": ("FieldID", "FieldName")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(sorted(_DIMENSION_KEYS)), _LEADING, _SECOND), min_size=1, max_size=10),
+    later=st.lists(st.tuples(st.sampled_from(sorted(_DIMENSION_KEYS)), _LEADING, _SECOND), max_size=6),
+)
+def test_reopened_dimension_keys_resolve_as_live(rows, later):
+    with tempfile.TemporaryDirectory() as tmp:
+        live = open_store(Path(tmp) / "store", CATALOG)
+        for table, leading, second in rows:
+            live.upsert_dimension(table, dict(zip(_DIMENSION_KEYS[table], (leading, second))))
+        live.flush()
+        reopened = open_store(Path(tmp) / "store", CATALOG)
+        for table, leading, _ in rows + later:
+            assert reopened.resolve_dimension(table, leading) == live.resolve_dimension(table, leading)
+        for table, leading, second in rows + later:
+            row = dict(zip(_DIMENSION_KEYS[table], (leading, second)))
+            assert reopened.upsert_dimension(table, row) == live.upsert_dimension(table, row)
+
+
+class TestFlush:
+    @pytest.fixture
+    def manifest_writes(self, monkeypatch):
+        calls = []
+        write = store_module.atomic_write_text
+        monkeypatch.setattr(store_module, "atomic_write_text", lambda path, text: calls.append(path) or write(path, text))
+        return calls
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_flush_with_nothing_pending_leaves_the_manifest_untouched(self, store_dir, manifest_writes, reopen):
+        store = _small_store(store_dir)
+        if reopen:
+            store = open_store(store_dir, CATALOG)
+            assert store.resolve_dimension("Crop", "C2") == 2
+            store.insert_facts("FieldFact", [])
+        path = Path(store_dir) / "manifest.json"
+        before = path.read_bytes(), path.stat()
+        del manifest_writes[:]
+        store.flush()
+        assert manifest_writes == []
+        after = path.read_bytes(), path.stat()
+        assert after[0] == before[0]
+        assert (after[1].st_mtime_ns, after[1].st_ino) == (before[1].st_mtime_ns, before[1].st_ino)
+
+    def test_v1_store_flushed_with_nothing_pending_is_rewritten_as_v2(self, store_dir):
+        _small_store(store_dir)
+        _rewrite_as_v1(store_dir)
+        files = _data_files(store_dir)
+        store = open_store(store_dir, CATALOG)
+        store.flush()
+        assert store.manifest_version == 2
+        manifest = _manifest(store_dir)
+        assert manifest["version"] == 2
+        assert {name: entry["digest"] for name, entry in manifest["tables"].items()} == {
+            name: _blake2b64_hex(data) for name, data in files.items()
+        }
+        assert _data_files(store_dir) == files
+
+    def test_append_of_a_deduplicating_delta_writes_the_manifest_once(self, tmp_path, store_dir, manifest_writes):
+        crops = tuple(
+            synth.CropSpec(name, 10.0, {"soil_ph": synth.FactorEffect(optimum=5.5, weight=0.5, scale=2.0)})
+            for name in ("Grass", "Winter Rye")
+        )
+        result = synth.generate(synth.SynthConfig(crops=crops, records_per_crop=20, seed=5), tmp_path / "gen")
+        pairs = synth.source_mapping_pairs(result)
+        run_pipeline(pairs, CATALOG, open_store(store_dir, CATALOG))
+        before = _data_files(store_dir)
+
+        del manifest_writes[:]
+        run_pipeline(pairs, CATALOG, open_store(store_dir, CATALOG))
+        assert len(manifest_writes) == 1  # the four sources flush; only the fact source appended
+        after = _data_files(store_dir)
+        assert {name: after[name] for name in ("Crop", "Field", "Soil")} == {
+            name: before[name] for name in ("Crop", "Field", "Soil")
+        }
+        added = after["FieldFact"][len(before["FieldFact"]):]
+        assert after["FieldFact"] == before["FieldFact"] + added and added.count(b"\n") == 40
+        rows = {name: data.count(b"\n") - 1 for name, data in after.items()}  # no cell here holds a newline
+        want = {
+            "catalog_digest": catalog_digest(CATALOG),
+            "tables": {name: {"digest": _blake2b64_hex(data), "rows": rows[name]} for name, data in after.items()},
+            "version": 2,
+        }
+        assert (Path(store_dir) / "manifest.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
