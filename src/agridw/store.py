@@ -238,12 +238,16 @@ class Store:
         self.path = Path(path)
         self.catalog = catalog
         self.catalog_digest = catalog_digest(catalog)
-        self.manifest_version = MANIFEST_VERSION  # as on disk; a flush writes MANIFEST_VERSION
-        self._manifest: dict | None = None  # as last read or written
+        self._manifest: dict | None = None  # as on disk: last read or written
         self._tables: dict[str, _TableState] = {}
         self._load_existing()
 
     # -- persistence ------------------------------------------------------
+
+    @property
+    def manifest_version(self) -> int:
+        """The version of the manifest on disk; a flush writes MANIFEST_VERSION."""
+        return self._manifest["version"]
 
     def _manifest_path(self) -> Path:
         return self.path / MANIFEST_NAME
@@ -269,7 +273,6 @@ class Store:
         version = manifest.get("version")
         if version not in (V1_MANIFEST, MANIFEST_VERSION):
             raise StoreError(f"unsupported manifest version {version!r}")
-        self.manifest_version = version
         for name, entry in manifest.get("tables", {}).items():
             table = self.catalog.table(name)
             if table is None:
@@ -304,7 +307,6 @@ class Store:
             return
         atomic_write_text(self._manifest_path(), canonical_json(manifest))
         self._manifest = manifest
-        self.manifest_version = MANIFEST_VERSION
 
     def flush(self) -> None:
         """Append pending rows to disk, then rewrite the manifest if it changed."""
