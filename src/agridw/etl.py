@@ -188,6 +188,18 @@ class _LineTap:
         return raw
 
 
+def _csv_records(reader: Iterator[list[str]]) -> Iterator[list[str] | None]:
+    """Each record of ``reader``, or None for one it refused (a cell longer
+    than ``csv.field_size_limit()``); the reader resumes at the next line."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            yield None
+
+
 def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
     with open(src.path, "r", encoding="utf-8-sig", newline="") as handle:
         tap = _LineTap(iter(handle))
@@ -200,12 +212,12 @@ def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
                 return
             tap.take_raw()
         number = 0
-        for record in reader:
+        for record in _csv_records(reader):
             raw = tap.take_raw()
-            if not record:  # blank line
+            if record == []:  # blank line
                 continue
             number += 1
-            if header is not None and len(record) != len(header):
+            if record is None or header is not None and len(record) != len(header):
                 yield RejectRecord(
                     source=src.path,
                     row=number,

@@ -60,20 +60,20 @@ def _blake2b64(data: bytes):
 
 
 class _TableState:
-    """One table: verified ``data.csv`` bytes parsed on first use, then the rows
-    this process appended, plus the streaming digest over the file bytes.
+    """One table held as its ``data.csv`` bytes: ``chunks`` is the header, or
+    the verified file read at open, then each line or batch this process
+    appended; the first ``written`` of them are on disk. Every read parses
+    them, so a live table reads exactly as its reopen does.
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
-    ``sk`` first for dimensions. ``encode`` (writes), ``index`` and ``rows``
-    (reads) all follow it, so every appended row is the row a reopen parses.
-    ``prefix`` holds the file's rows as they were at open, ``prefix_rows``
-    their count as the manifest records it and ``checked`` whether the bytes
-    have confirmed that count; ``tail`` holds the rows appended since.
+    ``sk`` first for dimensions; ``encode`` (writes), ``index`` and ``rows``
+    (reads) all follow it. ``count`` is the table's row count and
+    ``checked`` whether the bytes have confirmed it.
     """
 
     __slots__ = (
-        "table", "plan", "columns", "header", "_is_dim", "digest_state", "pending",
-        "prefix", "prefix_rows", "checked", "tail", "by_natural", "by_leading",
+        "table", "plan", "names", "key_plan", "header", "_is_dim", "digest_state",
+        "chunks", "written", "count", "checked", "by_natural", "by_leading",
     )
 
     def __init__(self, table: TableDef):
@@ -82,61 +82,61 @@ class _TableState:
         self.plan = ([(SK_COLUMN, "surrogate-key", int)] if self._is_dim else []) + [
             (a.name, a.kind, _DECODERS.get(a.kind, str)) for a in table.attributes
         ]
-        self.columns = [name for name, _, _ in self.plan]
-        self.header = csv_line(self.columns).encode("utf-8")
+        columns = [name for name, _, _ in self.plan]
+        self.names = frozenset(columns)
+        where = {name: (i, name, decode) for i, (name, _, decode) in enumerate(self.plan)}
+        self.key_plan = [where[part] for part in table.natural_key]  # (position, column, decoder)
+        self.header = csv_line(columns).encode("utf-8")
         self.digest_state = _blake2b64(self.header)
-        self.pending: list[bytes] = [self.header]
-        self.prefix = b""
-        self.prefix_rows = 0
+        self.chunks: list[bytes] = [self.header]
+        self.written = 0
+        self.count = 0
         self.checked = True
-        self.tail: list[dict] = []
-        # None until ``index`` has read the prefix
+        # None until ``index`` has read the file
         self.by_natural: dict[tuple, int] | None = {}
         self.by_leading: dict[str, int] | None = {}
 
-    @property
-    def count(self) -> int:
-        return self.prefix_rows + len(self.tail)
-
     def load(self, data: bytes, rows: object) -> None:
-        """Keep verified file bytes unparsed. Checks the header, and for a table
-        of keys and numbers alone every byte and the row count."""
+        """Hold the file bytes unparsed and hash them. Checks the header, and
+        for a table of keys and numbers alone every byte and the row count."""
+        self.digest_state = _blake2b64(data)
+        self.chunks = [data]
+        self.written = 1
         name = self.table.name
         if not data.startswith(self.header):
             raise StoreError(f"table {name!r}: unexpected header {data[:len(self.header)]!r}")
         if type(rows) is not int:
             raise StoreError(f"table {name!r} row count mismatch")
-        self.prefix = data[len(self.header):]
-        self.prefix_rows = rows
-        self.pending = []
+        self.count = rows
         self.checked = False
         self.by_natural = self.by_leading = None
         if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.plan):
             # no cell can be quoted or hold a newline, so a line is a row
-            if _KEY_AND_NUMBER_BODY.fullmatch(self.prefix) is None:
+            if _KEY_AND_NUMBER_BODY.fullmatch(data, len(self.header)) is None:
                 raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
-            self._check_count(self.prefix.count(b"\n"))
+            self._check_count(data.count(b"\n", len(self.header)))
 
     def _check_count(self, rows: int) -> None:
-        if rows != self.prefix_rows:
+        if rows != self.count:
             raise StoreError(f"table {self.table.name!r} row count mismatch")
         self.checked = True
 
     @contextmanager
     def _readable(self) -> Iterator[None]:
-        """A prefix that does not decode, a record short of a wanted cell or a
-        cell its decoder refuses is a StoreError naming the table."""
+        """Bytes that do not decode, a record short of a wanted cell or a cell
+        its decoder refuses is a StoreError naming the table."""
         try:
             yield
         except (ValueError, IndexError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise StoreError(f"table {self.table.name!r}: unreadable data file: {exc}") from exc
 
     def _records(self, maxsplit: int = -1) -> Iterator[list[str]]:
-        """The prefix's records as ``csv.reader`` reads them, one at a time.
+        """The table's records as ``csv.reader`` reads them, one at a time.
         With ``maxsplit`` a record may end in one cell holding the rest of its
         line, so only its first ``maxsplit`` cells are exact. Iterate inside
         ``_readable``."""
-        text = self.prefix.decode("utf-8")
+        data = b"".join(self.chunks)  # the file read at open itself, when nothing was appended
+        text = str(memoryview(data)[len(self.header):], "utf-8")  # decoded without copying the bytes
         if '"' in text or "\r" in text:  # only csv.reader reads quoted cells
             return csv.reader(io.StringIO(text))
         # No cell is quoted: each "\n" ends a record and each "," ends a cell.
@@ -156,13 +156,11 @@ class _TableState:
         first row of a key wins."""
         if self.by_natural is not None:
             return
-        positions = [self.columns.index(part) for part in self.table.natural_key]
         columns = []
         with self._readable():
-            records = list(self._records(max(positions, default=-1) + 1))
-            for i in positions:
+            records = list(self._records(max((i for i, _, _ in self.key_plan), default=-1) + 1))
+            for i, _, decode in self.key_plan:
                 cells = list(map(itemgetter(i), records))
-                decode = self.plan[i][2]
                 columns.append(cells if decode is str else list(map(str, map(decode, cells))))
         self._check_count(len(records))
         # reversed, so that a key's first row is the one dict() keeps
@@ -171,7 +169,7 @@ class _TableState:
         self.by_leading = dict(zip(reversed(columns[0]), sks)) if columns else {}
 
     def rows(self) -> tuple[dict, ...]:
-        """Every row: the prefix parsed in full, then copies of the tail. Checks the row count."""
+        """Every row, each cell decoded; absent values are omitted. Checks the row count."""
         decoders = [(name, decode) for name, _, decode in self.plan]
         with self._readable():
             rows = [
@@ -179,25 +177,23 @@ class _TableState:
                 for record in self._records()
             ]
         self._check_count(len(rows))
-        rows.extend(dict(row) for row in self.tail)
         return tuple(rows)
 
-    def append(self, data: bytes, kept: Sequence[dict]) -> None:
+    def append(self, data: bytes, rows: int) -> None:
         self.digest_state.update(data)
-        self.pending.append(data)
-        self.tail.extend(kept)
+        self.chunks.append(data)
+        self.count += rows
 
-    def encode(self, row: Mapping) -> tuple[bytes, dict]:
-        """Check ``row`` against the plan: its ``data.csv`` line and the row kept.
+    def encode(self, row: Mapping) -> tuple[bytes, list[str]]:
+        """Check ``row`` against the plan: its ``data.csv`` line and cells.
 
-        The kept row holds each cell as reopen decodes it (numbers pass through
-        ``format_decimal``) and omits absent values. A dimension row's ``sk``
-        must be its 1-based position.
+        Numbers are written through ``format_decimal``; a text longer than
+        ``csv.field_size_limit()`` is refused, since ``csv.reader`` could not
+        read it back. A dimension row's ``sk`` must be its 1-based position.
         """
         get = row.get
         cells: list[str] = []
         push = cells.append
-        kept: dict = {}
         for name, kind, decode in self.plan:
             value = get(name)
             if value is None:
@@ -205,26 +201,25 @@ class _TableState:
             elif kind == "number":
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                     raise StoreTypeError(f"{self.table.name}.{name}: expected a finite number")
-                text = format_decimal(value)
-                push(text)
-                kept[name] = float(text)
+                push(format_decimal(value))
             elif decode is int:  # foreign keys and sk
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise StoreTypeError(f"{self.table.name}.{name}: keys are integers")
                 push(str(value))
-                kept[name] = value
             else:
                 if not isinstance(value, str) or value == "":
                     raise StoreTypeError(f"{self.table.name}.{name}: expected non-empty text")
+                if len(value) > csv.field_size_limit():
+                    raise StoreTypeError(
+                        f"{self.table.name}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})"
+                    )
                 push(csv_field(value))  # numbers and keys never need quoting
-                kept[name] = value
-        if len(kept) != len(row):  # absent values, or keys outside the plan
-            for key in row:
-                if key not in self.columns:
-                    raise StoreTypeError(f"{self.table.name}: unknown attribute {key!r}")
-        if self._is_dim and kept.get(SK_COLUMN) != self.count + 1:
+        if not self.names.issuperset(row):
+            unknown = next(key for key in row if key not in self.names)
+            raise StoreTypeError(f"{self.table.name}: unknown attribute {unknown!r}")
+        if self._is_dim and get(SK_COLUMN) != self.count + 1:
             raise StoreTypeError(f"{self.table.name}: {SK_COLUMN} {get(SK_COLUMN)!r} is not the row position {self.count + 1}")
-        return (",".join(cells) + "\n").encode("utf-8"), kept
+        return (",".join(cells) + "\n").encode("utf-8"), cells
 
     @property
     def digest(self) -> str:
@@ -282,13 +277,13 @@ class Store:
                 data = self._data_path(name).read_bytes()
             except OSError as exc:
                 raise StoreError(f"missing data file for table {name!r}: {exc}") from exc
-            # One pass: on v2 the verifying hash is the table's streaming state.
-            state.digest_state = _blake2b64(data)
-            state.pending = []
-            digest = state.digest if version == MANIFEST_VERSION else format(fnv1a64(data), "016x")
-            if digest != entry.get("digest"):
-                raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
-            state.load(data, entry.get("rows"))
+            try:
+                state.load(data, entry.get("rows"))  # hashes the bytes before it checks them
+            finally:  # so a digest mismatch is the error reported, whatever load found
+                # One pass: on v2 the verifying hash is the table's streaming state.
+                digest = state.digest if version == MANIFEST_VERSION else format(fnv1a64(data), "016x")
+                if digest != entry.get("digest"):
+                    raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
             self._tables[name] = state
         self._manifest = manifest
 
@@ -309,15 +304,15 @@ class Store:
         self._manifest = manifest
 
     def flush(self) -> None:
-        """Append pending rows to disk, then rewrite the manifest if it changed."""
+        """Append the bytes not yet on disk, then rewrite the manifest if it changed."""
         for name, state in self._tables.items():
-            if not state.pending:
+            if state.written == len(state.chunks):
                 continue
             data_path = self._data_path(name)
             data_path.parent.mkdir(parents=True, exist_ok=True)
             with open(data_path, "ab") as handle:
-                handle.write(b"".join(state.pending))
-            state.pending = []
+                handle.write(b"".join(state.chunks[state.written:]))
+            state.written = len(state.chunks)
         self._write_manifest()
 
     @contextmanager
@@ -358,20 +353,19 @@ class Store:
         state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
         state.index()
         sk = state.count + 1
-        line, kept = state.encode({SK_COLUMN: sk, **row})
+        line, cells = state.encode({SK_COLUMN: sk, **row})
         natural = []
-        for part in table.natural_key:
-            value = kept.get(part)
-            if value is None:
+        for i, part, decode in state.key_plan:  # as ``index`` reads the key back
+            if not cells[i]:
                 raise StoreTypeError(f"{table_name}: natural key part {part!r} is missing")
-            natural.append(str(value))
+            natural.append(row[part] if decode is str else str(decode(cells[i])))
         key = tuple(natural)
         existing = state.by_natural.get(key)
         if existing is not None:
             return existing
         state.by_natural[key] = sk
         state.by_leading.setdefault(natural[0], sk)
-        state.append(line, (kept,))
+        state.append(line, 1)
         self._tables[table_name] = state
         return sk
 
@@ -389,22 +383,22 @@ class Store:
         if table is None or table.role != "fact":
             raise StoreError(f"{table_name!r} is not a fact table")
         state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
-        encoded = [state.encode(row) for row in rows]
+        lines = [state.encode(row)[0] for row in rows]
         fk_limits = [
             (a.name, a.references, self.row_count(a.references))
             for a in table.attributes
             if a.kind == "foreign-key"
         ]
-        for _, kept in encoded:
+        for row in rows:  # encode has checked each key is an int
             for name, ref, limit in fk_limits:
-                value = kept.get(name)
+                value = row.get(name)
                 if value is not None and not 1 <= value <= limit:
                     raise DanglingKeyError(
                         f"{table_name}.{name}={value} does not resolve in {ref!r}"
                     )
         if not state.checked:  # the manifest this batch's flush writes holds only checked counts
             state.index()
-        state.append(b"".join(line for line, _ in encoded), [kept for _, kept in encoded])
+        state.append(b"".join(lines), len(lines))
         self._tables[table_name] = state
         return len(rows)
 
@@ -462,9 +456,8 @@ class Snapshot:
                 raise StoreError(f"unknown table {name!r}")
             state = _TableState(table)
             for row in rows:
-                line, kept = state.encode(row)
-                state.append(line, (kept,))
-            frozen[name] = tuple(state.tail)
+                state.append(state.encode(row)[0], 1)
+            frozen[name] = state.rows()
             digests[name] = state.digest
         return cls(catalog=catalog, tables=frozen, table_digests=digests)
 

@@ -29,6 +29,7 @@ from agridw.etl import (
     write_reject_ledger,
 )
 from agridw.store import open_store
+from agridw.util import csv_line
 from helpers import apply_mapping
 
 CATALOG = builtin_catalog()
@@ -509,6 +510,29 @@ class TestRunPipeline:
         assert report.tables["FieldFact"].rows_accepted == 1
         assert report.rejects[0].reason == "missing-required"
         assert report.rejects[0].binding == "CropKey"
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "x" * 140_000,
+            '"' + "\n".join(["y" * 20_000] * 7) + '"',  # quoted over 7 lines, past the limit on the last
+        ],
+        ids=["unquoted", "quoted-over-lines"],
+    )
+    def test_cell_over_the_csv_field_limit_is_one_structural_reject(self, tmp_path, catalog, store_dir, cell):
+        sources = _pipeline_sources(tmp_path, ["C1,Grass\n", f"C2,{cell}\n", "C3,Wheat W.\n"], ["C3,8.5\n"])
+        store = open_store(store_dir, catalog)
+        report = run_pipeline(sources, catalog, store)
+        crops = sources[0][0].path
+        assert [(r.source, r.row, r.binding, r.reason, r.raw) for r in report.rejects] == [
+            (crops, 2, STRUCTURAL_BINDING, "type-error", f"C2,{cell}"),
+        ]
+        assert [r["CropID"] for r in store.snapshot().rows("Crop")] == ["C1", "C3"]
+        assert report.tables["FieldFact"].rows_accepted == 1
+        ledger = write_reject_ledger(report.rejects, tmp_path / "rejects.csv")
+        assert ledger.read_text() == "source,row,binding,reason,raw\n" + csv_line(
+            [crops, "2", STRUCTURAL_BINDING, "type-error", f"C2,{cell}"]
+        )
 
     def test_rerun_keeps_keys_and_doubles_facts(self, tmp_path, catalog, store_dir):
         sources = _pipeline_sources(tmp_path, ["C1,Grass\n", "C2,Wheat W.\n"], ["C1,8.5\n"])

@@ -799,3 +799,94 @@ class TestFlush:
             "version": 2,
         }
         assert (Path(store_dir) / "manifest.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def _same_snapshot(got: Snapshot, want: Snapshot) -> None:
+    assert got.tables == want.tables
+    assert got.table_digests == want.table_digests
+
+
+class TestOneRepresentation:
+    """A live table is its data.csv bytes, so every read equals a reopen's."""
+
+    def test_quoted_row_appended_to_an_unquoted_reopened_table(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        store.upsert_dimension("Crop", _crop("C2", "Winter Rye"))
+        store.flush()
+        assert b'"' not in _data_files(store_dir)["Crop"]  # read by line and comma
+        store = open_store(store_dir, CATALOG)
+        assert store.resolve_dimension("Crop", "C2") == 2
+        row = {**_crop("C3", 'Oats "naked"'), "ScienName": 'Avena "nuda",\nL.'}
+        assert store.upsert_dimension("Crop", row) == 3  # the table now needs csv.reader
+        live = store.snapshot()
+        assert live.rows("Crop")[2] == {"sk": 3, **row}
+        assert store.row_count("Crop") == 3
+        store.flush()
+        _same_snapshot(open_store(store_dir, CATALOG).snapshot(), live)
+
+    def test_two_flushes_write_each_line_once(self, tmp_path, store_dir):
+        first = [("upsert", _crop("C1", "Grass")), ("facts", [{"CropKey": 1, "YieldValue": 8.25}])]
+        second = [
+            ("upsert", {**_crop("C2", "Rye"), "ScienName": "Secale,\ncereale"}),
+            ("facts", [{"CropKey": 2, "YieldValue": 5.5}, {"CropKey": 1, "HerbicideQty": 0.5}]),
+        ]
+        store = open_store(store_dir, CATALOG)
+        _apply(store, first)
+        store.flush()
+        between = store.snapshot()
+        _same_snapshot(open_store(store_dir, CATALOG).snapshot(), between)
+        _apply(store, second)
+        store.flush()
+        once = open_store(tmp_path / "once", CATALOG)
+        _apply(once, first + second)
+        once.flush()
+        files = _data_files(store_dir)
+        assert files == _data_files(tmp_path / "once")
+        for name, data in files.items():
+            assert data.count(store_module._TableState(CATALOG.table(name)).header) == 1
+        assert _csv_view(store_dir, CATALOG) == store.snapshot().tables
+        _same_snapshot(open_store(store_dir, CATALOG).snapshot(), store.snapshot())
+
+
+class TestFieldSizeLimit:
+    """Text csv.reader could not read back is refused before anything is appended."""
+
+    LIMIT = csv.field_size_limit()
+
+    def _text(self, length: int) -> str:
+        return ('x"' * length)[:length]  # quoted in data.csv, so csv.reader reads the table
+
+    def test_text_at_the_limit_is_stored(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        row = {**_crop("C1", "Grass"), "ScienName": self._text(self.LIMIT)}
+        store.upsert_dimension("Crop", row)
+        live = store.snapshot()
+        assert live.rows("Crop") == ({"sk": 1, **row},)
+        store.flush()
+        _same_snapshot(open_store(store_dir, CATALOG).snapshot(), live)
+
+    def test_text_past_the_limit_is_refused(self, store_dir):
+        store = _small_store(store_dir)
+        files, live = _data_files(store_dir), store.snapshot()
+        for column, row in (
+            ("ScienName", {**_crop("C3", "Oats"), "ScienName": self._text(self.LIMIT + 1)}),
+            ("CropID", _crop(self._text(self.LIMIT + 1), "Oats")),
+        ):
+            with pytest.raises(StoreTypeError, match=rf"Crop\.{column}"):
+                store.upsert_dimension("Crop", row)
+        assert store.row_count("Crop") == 2
+        store.flush()
+        assert _data_files(store_dir) == files
+        _same_snapshot(store.snapshot(), live)
+
+    def test_long_cell_after_unquoted_rows_is_refused(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        store.flush()
+        store = open_store(store_dir, CATALOG)
+        with pytest.raises(StoreTypeError, match=r"Crop\.ScienName"):
+            store.upsert_dimension("Crop", {**_crop("C2", "Rye"), "ScienName": "x" * (self.LIMIT + 1)})
+        store.flush()
+        assert store.snapshot().rows("Crop") == ({"sk": 1, **_crop("C1", "Grass")},)
+        _same_snapshot(open_store(store_dir, CATALOG).snapshot(), store.snapshot())
