@@ -150,13 +150,14 @@ class OptimalFinding:
 
 # --- extraction -------------------------------------------------------------
 
-def _dimension_row(snapshot: Snapshot, dim: str, sk) -> Mapping | None:
-    if sk is None:
-        return None
-    rows = snapshot.rows(dim)
-    if 1 <= sk <= len(rows):
-        return rows[sk - 1]  # surrogate keys are dense 1..N in insertion order
-    return None
+def _join(snapshot: Snapshot, dimension: str, keys: Sequence[int | None], names: Sequence[str]) -> list[list]:
+    """Columns ``names`` of ``dimension`` aligned with the surrogate ``keys``
+    of the fact rows; an absent or unresolved key reads None. Surrogate keys
+    are dense 1..N in insertion order, so a key is a position."""
+    columns = snapshot.columns(dimension, names)
+    n = len(columns[0])
+    positions = [sk - 1 if sk is not None and 1 <= sk <= n else n for sk in keys]  # n: the None past the end
+    return [list(map((*column, None).__getitem__, positions)) for column in columns]
 
 
 def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None = None) -> list[YieldRecord]:
@@ -165,50 +166,41 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
     Each factor is read as ``FACTOR_SPECS`` says: from the joined Soil
     dimension or from the fact's own measures; anything unjoined or unset
     stays absent. Crop names are harmonized through the builtin synonym
-    table when possible.
+    table when possible. Only the columns named here are decoded.
     """
     table = synonyms if synonyms is not None else builtin_crop_synonyms()
-    reads = [(factor, spec.attribute, spec.table == "FieldFact") for factor, spec in FACTOR_SPECS.items()]
+    on_fact = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "FieldFact"]
+    on_soil = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "Soil"]
+    crop_keys, field_keys, soil_keys, time_keys, yields, *fact_values = snapshot.columns(
+        "FieldFact",
+        ("CropKey", "FieldKey", "SoilKey", "OperationTimeKey", "YieldValue", *(FACTOR_SPECS[f].attribute for f in on_fact)),
+    )
+    (crop_names,) = _join(snapshot, "Crop", crop_keys, ("CropName",))
+    (field_ids,) = _join(snapshot, "Field", field_keys, ("FieldID",))
+    starts, seasons = _join(snapshot, "OperationTime", time_keys, ("StartDate", "Season"))
+    soil_values = _join(snapshot, "Soil", soil_keys, [FACTOR_SPECS[f].attribute for f in on_soil])
+    by_factor = dict(zip(on_fact + on_soil, [*fact_values, *soil_values]))
+    factors: list[dict[str, float]] = [{} for _ in yields]
+    for factor in FACTORS:  # in FACTORS order, so each dict's keys are too
+        for values, value in zip(factors, by_factor[factor]):
+            if value is not None:
+                values[factor] = value
+    crops = {name: normalize_synonym(name, table) or name for name in set(crop_names) if name is not None}
+
     records: list[YieldRecord] = []
-    for ordinal, fact in enumerate(snapshot.rows("FieldFact"), start=1):
-        yield_value = fact.get("YieldValue")
-        if yield_value is None:
+    rows = zip(yields, crop_names, field_ids, starts, seasons, factors)
+    for ordinal, (yield_value, crop_name, field_id, start, season, values) in enumerate(rows, start=1):
+        if yield_value is None or crop_name is None:
             continue
-        crop_row = _dimension_row(snapshot, "Crop", fact.get("CropKey"))
-        if crop_row is None:
-            continue
-        raw_name = str(crop_row.get("CropName"))
-        crop = normalize_synonym(raw_name, table) or raw_name
-
-        field_row = _dimension_row(snapshot, "Field", fact.get("FieldKey"))
-        field_id = str(field_row["FieldID"]) if field_row and "FieldID" in field_row else None
-
-        year = season = None
-        optime = _dimension_row(snapshot, "OperationTime", fact.get("OperationTimeKey"))
-        if optime is not None:
-            start = optime.get("StartDate")
-            if isinstance(start, str) and len(start) >= 4 and start[:4].isdigit():
-                year = int(start[:4])
-            season = optime.get("Season")
-
-        factors: dict[str, float] = {}
-        soil = _dimension_row(snapshot, "Soil", fact.get("SoilKey"))
-        for factor, attr, on_fact in reads:
-            row = fact if on_fact else soil
-            if row is not None:
-                value = row.get(attr)
-                if value is not None:
-                    factors[factor] = value
-
         records.append(
             YieldRecord(
                 record_id=ordinal,
-                crop=crop,
+                crop=crops[crop_name],
                 yield_value=yield_value,
                 field_id=field_id,
-                year=year,
+                year=int(start[:4]) if start is not None and len(start) >= 4 and start[:4].isdigit() else None,
                 season=season,
-                factors=factors,
+                factors=values,
             )
         )
     return records

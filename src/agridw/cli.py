@@ -91,12 +91,12 @@ def _cmd_analyze(args) -> int:
         raise ConfigError("factor series have no markdown format; use --format delimited or json")
     catalog = _load_catalog_arg(args.catalog)
     store = open_store(args.store, catalog)
-    snapshot = store.snapshot()
-    if not snapshot.rows("FieldFact"):
+    if not store.row_count("FieldFact"):
         raise ConfigError("store has no FieldFact rows to analyze")
+    snapshot = store.snapshot()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = analytics.extract_yield_records(snapshot)
+    records = analytics.extract_yield_records(snapshot)  # decodes only the columns it reads
 
     if args.mode == "groups":
         assignments = analytics.assign_groups(records)
@@ -129,7 +129,7 @@ def _cmd_store_verify(args) -> int:
     if not (path / MANIFEST_NAME).is_file():
         raise StoreError(f"no store manifest in {path}")
     store = open_store(path, catalog)
-    snapshot = store.snapshot()  # open checks digests and headers; this decodes every cell
+    snapshot = store.snapshot()  # open checks digests and headers; rows() below decodes every cell
     upgrade = ""
     if store.manifest_version != MANIFEST_VERSION:
         upgrade = f" (verified; the next write upgrades it to {MANIFEST_VERSION} with the digests below)"

@@ -188,15 +188,23 @@ class _LineTap:
         return raw
 
 
-def _csv_records(reader: Iterator[list[str]]) -> Iterator[list[str] | None]:
+def _csv_records(reader: Iterator[list[str]], tap: _LineTap) -> Iterator[list[str] | None]:
     """Each record of ``reader``, or None for one it refused (a cell longer
-    than ``csv.field_size_limit()``); the reader resumes at the next line."""
+    than ``csv.field_size_limit()``). A refused record ends where RFC 4180
+    ends it: at the first line end after an even count of ``"`` in its
+    lines, which are taken from ``tap``, so none of them is read as a record."""
     while True:
         try:
             yield next(reader)
         except StopIteration:
             return
         except csv.Error:
+            quotes = sum(line.count('"') for line in tap.consumed)
+            while quotes % 2:
+                line = next(tap, None)
+                if line is None:
+                    break
+                quotes += line.count('"')
             yield None
 
 
@@ -210,9 +218,11 @@ def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
                 header = next(reader)
             except StopIteration:
                 return
+            except csv.Error as exc:  # a header cell longer than csv.field_size_limit()
+                raise ConfigError(f"source {src.path}: unreadable header: {exc}") from exc
             tap.take_raw()
         number = 0
-        for record in _csv_records(reader):
+        for record in _csv_records(reader, tap):
             raw = tap.take_raw()
             if record == []:  # blank line
                 continue

@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass
 from itertools import repeat
 from math import fsum
@@ -66,8 +67,8 @@ class _TableState:
     them, so a live table reads exactly as its reopen does.
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
-    ``sk`` first for dimensions; ``encode`` (writes), ``index`` and ``rows``
-    (reads) all follow it. ``count`` is the table's row count and
+    ``sk`` first for dimensions; ``encode`` (writes), ``index``, ``columns``
+    and ``rows`` (reads) all follow it. ``count`` is the table's row count and
     ``checked`` whether the bytes have confirmed it.
     """
 
@@ -156,28 +157,56 @@ class _TableState:
         first row of a key wins."""
         if self.by_natural is not None:
             return
-        columns = []
-        with self._readable():
-            records = list(self._records(max((i for i, _, _ in self.key_plan), default=-1) + 1))
-            for i, _, decode in self.key_plan:
-                cells = list(map(itemgetter(i), records))
-                columns.append(cells if decode is str else list(map(str, map(decode, cells))))
-        self._check_count(len(records))
+        columns = [
+            column if decode is str else list(map(str, column))
+            for column, (_, _, decode) in zip(self.columns([name for _, name, _ in self.key_plan]), self.key_plan)
+        ]
         # reversed, so that a key's first row is the one dict() keeps
-        sks = range(len(records), 0, -1)
+        sks = range(self.count, 0, -1)
         self.by_natural = dict(zip(reversed(list(zip(*columns))), sks))
         self.by_leading = dict(zip(reversed(columns[0]), sks)) if columns else {}
 
     def rows(self) -> tuple[dict, ...]:
-        """Every row, each cell decoded; absent values are omitted. Checks the row count."""
+        """Every row, each cell decoded; absent values are omitted. Checks the
+        width of every record and the row count."""
         decoders = [(name, decode) for name, _, decode in self.plan]
+        width = len(decoders)
+        rows = []
         with self._readable():
-            rows = [
-                {name: decode(text) for (name, decode), text in zip(decoders, record) if text}
-                for record in self._records()
-            ]
+            for record in self._records():
+                if len(record) != width and (record or width != 1):  # a one-column row with no value is a blank line
+                    raise ValueError(f"a record of {len(record)} cells, expected {width}")
+                rows.append({name: decode(text) for (name, decode), text in zip(decoders, record) if text})
         self._check_count(len(rows))
         return tuple(rows)
+
+    def columns(self, names: Sequence[str]) -> list[list]:
+        """The named columns alone, each cell decoded and an absent one None.
+        Checks the row count."""
+        where = {name: (i, decode) for i, (name, _, decode) in enumerate(self.plan)}
+        for name in names:
+            if name not in where:
+                raise UnknownAttributeError(f"{self.table.name}.{name} does not exist")
+        wanted = [where[name] for name in names]
+        with self._readable():
+            records = list(self._records(max((i for i, _ in wanted), default=-1) + 1))
+            if len(self.plan) == 1:  # a one-column row with no value is a blank line
+                records = [record or [""] for record in records]
+            columns = []
+            for i, decode in wanted:
+                cells = list(map(itemgetter(i), records))
+                columns.append([decode(text) if text else None for text in cells] if "" in cells else
+                               list(map(decode, cells)))
+        self._check_count(len(records))
+        return columns
+
+    def frozen(self) -> "_TableState":
+        """A copy holding the table's bytes as they are now: what this state
+        appends later does not reach it."""
+        view = copy(self)
+        view.chunks = [b"".join(self.chunks)]  # the same bytes object when there is one chunk
+        view.digest_state = self.digest_state.copy()
+        return view
 
     def append(self, data: bytes, rows: int) -> None:
         self.digest_state.update(data)
@@ -409,10 +438,9 @@ class Store:
         return state.digest if state else None
 
     def snapshot(self) -> "Snapshot":
-        """Parse every table in full; a cell that does not decode is a StoreError naming its table."""
-        tables = {name: state.rows() for name, state in self._tables.items()}
-        digests = {name: state.digest for name, state in self._tables.items()}
-        return Snapshot(catalog=self.catalog, tables=tables, table_digests=digests)
+        """The tables as they are now, held as their verified bytes and parsed
+        on first read; a cell read that does not decode is a StoreError naming its table."""
+        return Snapshot(self.catalog, {name: state.frozen() for name, state in self._tables.items()})
 
 
 def open_store(path: str | Path, catalog: Catalog) -> Store:
@@ -430,26 +458,52 @@ def _combined_digest(table_digests: Mapping[str, str]) -> str:
     return format(fnv1a64(payload.encode("utf-8")), "016x")
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    """Immutable view of the loaded warehouse at a load boundary."""
+    """Immutable view of the loaded warehouse at a load boundary, each table
+    held as its ``data.csv`` bytes. ``rows`` parses a table on its first read
+    and ``columns`` decodes only the columns asked for; both keep what they
+    decoded, so each cell is decoded at most once per way of reading it."""
 
-    catalog: Catalog
-    tables: Mapping[str, tuple[Mapping, ...]]
-    table_digests: Mapping[str, str]
+    def __init__(self, catalog: Catalog, states: Mapping[str, _TableState]):
+        self.catalog = catalog
+        self._states = dict(states)
+        self.table_digests = {name: state.digest for name, state in self._states.items()}
+        self._rows: dict[str, tuple[dict, ...]] = {}
+        self._columns: dict[tuple[str, str], tuple] = {}
 
     @property
     def digest(self) -> str:
         return _combined_digest(self.table_digests)
 
+    @property
+    def tables(self) -> dict[str, tuple[Mapping, ...]]:
+        """Every table's rows; parses each table not read yet."""
+        return {name: self.rows(name) for name in self._states}
+
     def rows(self, table_name: str) -> tuple[Mapping, ...]:
-        return self.tables.get(table_name, ())
+        """The table's rows, each cell decoded and an absent one omitted; no rows for a table never written."""
+        if table_name not in self._rows:
+            state = self._states.get(table_name)
+            self._rows[table_name] = state.rows() if state is not None else ()
+        return self._rows[table_name]
+
+    def columns(self, table_name: str, names: Sequence[str]) -> list[Sequence]:
+        """The named columns of a table, in row order, each cell decoded and an
+        absent one None; empty columns for a table never written. Decodes only
+        the columns not read before."""
+        state = self._states.get(table_name)
+        if state is None:
+            return [()] * len(names)
+        missing = [name for name in dict.fromkeys(names) if (table_name, name) not in self._columns]
+        if missing:
+            for name, column in zip(missing, state.columns(missing)):
+                self._columns[table_name, name] = tuple(column)
+        return [self._columns[table_name, name] for name in names]
 
     @classmethod
     def from_tables(cls, catalog: Catalog, tables: Mapping[str, Sequence[Mapping]]) -> "Snapshot":
         """Build an in-memory snapshot as the store would; a dimension row's ``sk`` is its position."""
-        frozen: dict[str, tuple[Mapping, ...]] = {}
-        digests: dict[str, str] = {}
+        states: dict[str, _TableState] = {}
         for name, rows in tables.items():
             table = catalog.table(name)
             if table is None:
@@ -457,9 +511,8 @@ class Snapshot:
             state = _TableState(table)
             for row in rows:
                 state.append(state.encode(row)[0], 1)
-            frozen[name] = state.rows()
-            digests[name] = state.digest
-        return cls(catalog=catalog, tables=frozen, table_digests=digests)
+            states[name] = state.frozen()
+        return cls(catalog, states)
 
 
 # --- star queries ------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
+import agridw.store as store_module
 from agridw.analytics import (
+    FACTOR_SPECS,
     FACTORS,
     FactorGroupStats,
     SignificanceRule,
@@ -27,6 +29,7 @@ from agridw.analytics import (
 )
 from agridw.catalog import builtin_catalog
 from agridw.errors import ConfigError
+from agridw.etl import builtin_crop_synonyms, normalize_synonym
 from agridw.store import open_store
 
 from helpers import GROUP_TABLE_ROWS
@@ -457,6 +460,54 @@ class TestExtraction:
         store.insert_facts("FieldFact", [{"CropKey": crop, "YieldValue": 5.0}])
         (record,) = extract_yield_records(store.snapshot())
         assert record.crop == "Spring Barley"
+
+    def test_column_join_equals_a_join_of_parsed_rows(self, store_dir, monkeypatch):
+        store, crop, field, soil, optime = self._store(store_dir)
+        barley = store.upsert_dimension("Crop", {"CropID": "C2", "CropName": "Barley S."})
+        thin = store.upsert_dimension("Soil", {"SoilID": "S2", "PH": 7.5})
+        short = store.upsert_dimension("OperationTime", {"OperationTimeID": "T2", "StartDate": "19"})
+        store.insert_facts("FieldFact", [
+            {"CropKey": crop, "FieldKey": field, "SoilKey": soil, "OperationTimeKey": optime, "YieldValue": 8.0},
+            {"CropKey": barley, "SoilKey": thin, "OperationTimeKey": short, "YieldValue": 6.5, "HerbicideQty": 1.5},
+            {"CropKey": barley, "YieldValue": 7.0, "InsecticideQty": 20.0},
+            {"SoilKey": soil, "YieldValue": 9.0},
+            {"CropKey": crop, "SoilKey": thin},
+        ])
+        store.flush()
+        monkeypatch.setattr(store_module._TableState, "rows", lambda s: pytest.fail(f"{s.table.name} parsed in full"))
+        records = extract_yield_records(open_store(store_dir, CATALOG).snapshot())
+        monkeypatch.undo()
+        assert records == _joined_row_by_row(store.snapshot())
+        assert [(r.record_id, r.crop, r.year, r.season) for r in records] == [
+            (1, "Grass", 2019, "Spring"), (2, "Spring Barley", None, None), (3, "Spring Barley", None, None),
+        ]
+
+
+def _joined_row_by_row(snapshot) -> list[YieldRecord]:
+    """What extract_yield_records returns, joined one fully parsed fact row at a time."""
+    def dimension(name, sk):
+        rows = snapshot.rows(name)
+        return rows[sk - 1] if sk is not None and 1 <= sk <= len(rows) else {}
+
+    records = []
+    for ordinal, fact in enumerate(snapshot.rows("FieldFact"), start=1):
+        name = dimension("Crop", fact.get("CropKey")).get("CropName")
+        if fact.get("YieldValue") is None or name is None:
+            continue
+        optime = dimension("OperationTime", fact.get("OperationTimeKey"))
+        start = optime.get("StartDate", "")
+        joined = {"FieldFact": fact, "Soil": dimension("Soil", fact.get("SoilKey"))}
+        factors = {factor: joined[spec.table].get(spec.attribute) for factor, spec in FACTOR_SPECS.items()}
+        records.append(YieldRecord(
+            record_id=ordinal,
+            crop=normalize_synonym(name, builtin_crop_synonyms()) or name,
+            yield_value=fact["YieldValue"],
+            field_id=dimension("Field", fact.get("FieldKey")).get("FieldID"),
+            year=int(start[:4]) if len(start) >= 4 and start[:4].isdigit() else None,
+            season=optime.get("Season"),
+            factors={factor: value for factor, value in factors.items() if value is not None},
+        ))
+    return records
 
 
 # --- mining --------------------------------------------------------------------------

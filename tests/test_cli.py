@@ -131,6 +131,12 @@ class TestIngest:
         assert len(ledger) == 2  # header + one reject
         assert "type-error" in ledger[1]
 
+    def test_header_cell_over_the_csv_field_limit_exit_two_names_the_source(self, tmp_path, capsys):
+        crops, _, crop_map, _ = _fixture_sources(tmp_path, [])
+        _write(Path(crops), "crop_id,crop_name" + "x" * 140_000 + "\nC1,Grass\n")
+        assert main(["ingest", "--store", str(tmp_path / "store"), "--source", crops, "--mapping", crop_map]) == 2
+        assert f"source {crops}: unreadable header" in capsys.readouterr().err
+
     def test_locked_store_exit_two(self, tmp_path, capsys):
         crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n"])
         store_dir = tmp_path / "store"
@@ -169,24 +175,25 @@ class TestIngest:
         assert code == 2
 
 
-class TestAnalyze:
-    def _loaded_store(self, tmp_path) -> str:
-        config = _synth_config(tmp_path)
-        gen = str(tmp_path / "gen")
-        assert main(["synth", "--config", config, "--out", gen]) == 0
-        store = str(tmp_path / "store")
-        code = main([
-            "ingest", "--store", store,
-            "--source", f"{gen}/crops.csv", "--mapping", f"{gen}/mappings/crops.mapping.json",
-            "--source", f"{gen}/fields.csv", "--mapping", f"{gen}/mappings/fields.mapping.json",
-            "--source", f"{gen}/soil.csv", "--mapping", f"{gen}/mappings/soil.mapping.json",
-            "--source", f"{gen}/fieldfact.csv", "--mapping", f"{gen}/mappings/fieldfact.mapping.json",
-        ])
-        assert code == 0
-        return store
+def _loaded_store(tmp_path) -> str:
+    config = _synth_config(tmp_path)
+    gen = str(tmp_path / "gen")
+    assert main(["synth", "--config", config, "--out", gen]) == 0
+    store = str(tmp_path / "store")
+    code = main([
+        "ingest", "--store", store,
+        "--source", f"{gen}/crops.csv", "--mapping", f"{gen}/mappings/crops.mapping.json",
+        "--source", f"{gen}/fields.csv", "--mapping", f"{gen}/mappings/fields.mapping.json",
+        "--source", f"{gen}/soil.csv", "--mapping", f"{gen}/mappings/soil.mapping.json",
+        "--source", f"{gen}/fieldfact.csv", "--mapping", f"{gen}/mappings/fieldfact.mapping.json",
+    ])
+    assert code == 0
+    return store
 
+
+class TestAnalyze:
     def test_groups_writes_table(self, tmp_path):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out")
         assert main(["analyze", "groups", "--store", store, "--out", out]) == 0
         lines = (Path(out) / "group_table.csv").read_text().splitlines()
@@ -194,14 +201,14 @@ class TestAnalyze:
         assert len(lines) == 1 + 2 * 5
 
     def test_factor_series_five_rows_per_crop(self, tmp_path):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out")
         assert main(["analyze", "factor", "--factor", "soil_ph", "--store", store, "--out", out]) == 0
         lines = (Path(out) / "factor_soil_ph.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 5
 
     def test_factor_series_json_format(self, tmp_path):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out-json")
         assert main(["analyze", "factor", "--factor", "soil_ph", "--store", store,
                      "--out", out, "--format", "json"]) == 0
@@ -210,7 +217,7 @@ class TestAnalyze:
         assert {"crop", "factor", "group", "mean", "count", "sd"} == set(doc[0])
 
     def test_factor_series_markdown_exit_two_writes_nothing(self, tmp_path, capsys):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = tmp_path / "out-md"
         code = main(["analyze", "factor", "--factor", "soil_ph", "--store", store,
                      "--out", str(out), "--format", "markdown"])
@@ -219,7 +226,7 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_unknown_factor_exit_two_lists_valid(self, tmp_path, capsys):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out")
         code = main(["analyze", "factor", "--factor", "soil_zn", "--store", store, "--out", out])
         assert code == 2
@@ -227,7 +234,7 @@ class TestAnalyze:
         assert "soil_zn" in err and "soil_ph" in err and "insecticide" in err
 
     def test_mine_recovers_planted_optima(self, tmp_path):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out")
         assert main(["analyze", "mine", "--store", store, "--out", out, "--rule", "gap:0.2"]) == 0
         findings = load_findings(Path(out) / "findings.json")
@@ -241,12 +248,12 @@ class TestAnalyze:
         assert (Path(out) / "run_metadata.json").exists()
 
     def test_welch_rule_accepted(self, tmp_path):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         out = str(tmp_path / "out-welch")
         assert main(["analyze", "mine", "--store", store, "--out", out, "--rule", "welch:0.01"]) == 0
 
     def test_bad_rule_exit_two(self, tmp_path, capsys):
-        store = self._loaded_store(tmp_path)
+        store = _loaded_store(tmp_path)
         assert main(["analyze", "mine", "--store", store, "--out", str(tmp_path / "o"),
                      "--rule", "chi2:0.05"]) == 2
 
@@ -376,7 +383,39 @@ class TestSynth:
         assert findings and all(f.verdict == "insufficient-data" for f in findings)
 
 
+def _forge_first_row(store: Path, table: str, column: str, text: bytes) -> None:
+    """Write ``text`` unquoted as one cell of a table's first row and record the matching digest."""
+    data = store / table / "data.csv"
+    header, first, rest = data.read_bytes().split(b"\n", 2)
+    row = first.split(b",")  # the rows forged here hold no quoted cell
+    row[header.split(b",").index(column.encode())] = text
+    forged = b"\n".join([header, b",".join(row), rest])
+    data.write_bytes(forged)
+    manifest = json.loads((store / "manifest.json").read_text())
+    manifest["tables"][table]["digest"] = hashlib.blake2b(forged, digest_size=8).hexdigest()
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestStoreVerifyDecodesEveryCell:
+    def test_bad_cell_in_a_column_analyze_never_reads_fails_only_verify(self, tmp_path, capsys):
+        store = _loaded_store(tmp_path)
+        assert main(["analyze", "mine", "--store", store, "--out", str(tmp_path / "before")]) == 0
+        _forge_first_row(Path(store), "Soil", "Calcium", b"x3.5")
+        assert main(["analyze", "mine", "--store", store, "--out", str(tmp_path / "after")]) == 0
+        for name in ("findings.json", "findings.md"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", store]) == 2
+        assert "Soil" in capsys.readouterr().err
+
+    def test_record_of_the_wrong_width_exit_two_names_the_table(self, tmp_path, capsys):
+        store = _loaded_store(tmp_path)
+        _forge_first_row(Path(store), "Soil", "Unit", b"mg/l,extra,cells")
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", store]) == 2
+        err = capsys.readouterr().err
+        assert "Soil" in err and "expected 20" in err
+
     def test_undecodable_cell_under_a_matching_digest_exit_two_names_the_table(self, tmp_path, capsys):
         store = tmp_path / "store"
         writer = open_store(store, builtin_catalog())

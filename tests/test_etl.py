@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agridw.catalog import builtin_catalog
-from agridw.errors import MappingError, UnitConversionError
+from agridw.errors import ConfigError, MappingError, UnitConversionError
 from agridw.etl import (
     Binding,
     CompiledMapping,
@@ -533,6 +533,34 @@ class TestRunPipeline:
         assert ledger.read_text() == "source,row,binding,reason,raw\n" + csv_line(
             [crops, "2", STRUCTURAL_BINDING, "type-error", f"C2,{cell}"]
         )
+
+    @pytest.mark.parametrize(
+        "cell, after",
+        [
+            ('"' + "y" * 140_000 + '\nz9,Bogus\nw"', ["C3,Wheat W.\n"]),  # the quote closes two lines on
+            ('"' + "y" * 140_000 + '\nz9,Bogus\n', []),  # the quote never closes: the record ends with the file
+        ],
+        ids=["closed", "unclosed"],
+    )
+    def test_refused_record_ends_where_its_quoted_cell_ends(self, tmp_path, catalog, store_dir, cell, after):
+        sources = _pipeline_sources(tmp_path, ["C1,Grass\n", f"c2,{cell}\n", *after], ["C1,8.5\n"])
+        store = open_store(store_dir, catalog)
+        report = run_pipeline(sources, catalog, store)
+        crops = sources[0][0].path
+        assert [(r.source, r.row, r.binding, r.reason, r.raw) for r in report.rejects] == [
+            (crops, 2, STRUCTURAL_BINDING, "type-error", f"c2,{cell}".rstrip("\n")),
+        ]
+        assert [r["CropID"] for r in store.snapshot().rows("Crop")] == ["C1"] + ["C3"] * bool(after)
+        assert report.tables["Crop"].rows_read == 2 + len(after)
+
+    def test_header_cell_over_the_csv_field_limit_is_a_config_error_naming_the_source(
+        self, tmp_path, catalog, store_dir
+    ):
+        crops = _write(tmp_path, "crops.csv", "crop_id,crop_name" + "x" * 140_000 + "\nC1,Grass\n")
+        store = open_store(store_dir, catalog)
+        with pytest.raises(ConfigError, match=f"source {crops}: unreadable header"):
+            run_pipeline([(SourceDescriptor(path=crops), mapping_from_dict(CROP_MAPPING))], catalog, store)
+        assert store.row_count("Crop") == 0
 
     def test_rerun_keeps_keys_and_doubles_facts(self, tmp_path, catalog, store_dir):
         sources = _pipeline_sources(tmp_path, ["C1,Grass\n", "C2,Wheat W.\n"], ["C1,8.5\n"])

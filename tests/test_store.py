@@ -561,7 +561,7 @@ class TestLazyReopen:
         assert store.table_digest("Crop") == digest
         assert set(store.snapshot().tables) == {"Crop"}
 
-    def test_undecodable_soil_cell_surfaces_at_snapshot(self, store_dir):
+    def test_undecodable_soil_cell_surfaces_at_first_read(self, store_dir):
         store = open_store(store_dir, CATALOG)
         store.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5})
         store.upsert_dimension("Soil", {"SoilID": "S2", "PH": 7.25})
@@ -569,8 +569,12 @@ class TestLazyReopen:
         _forge(store_dir, "Soil", b",6.5,", b",x6.5,")
         reopened = open_store(store_dir, CATALOG)  # the natural-key pass decodes no PH cell
         assert reopened.resolve_dimension("Soil", "S2") == 2
+        snapshot = reopened.snapshot()  # holds the bytes; decodes nothing
+        assert snapshot.columns("Soil", ["SoilID"]) == [("S1", "S2")]
         with pytest.raises(StoreError, match="Soil"):
-            reopened.snapshot()
+            snapshot.columns("Soil", ["PH"])
+        with pytest.raises(StoreError, match="Soil"):
+            snapshot.rows("Soil")
 
     def test_bare_carriage_return_in_a_field_key_is_a_store_error(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -609,7 +613,9 @@ class TestLazyReopen:
         with pytest.raises(StoreError, match=f"{table}.*row count"):
             open_store(store_dir, CATALOG).row_count(table)
         with pytest.raises(StoreError, match=f"{table}.*row count"):
-            open_store(store_dir, CATALOG).snapshot()
+            open_store(store_dir, CATALOG).snapshot().rows(table)
+        with pytest.raises(StoreError, match=f"{table}.*row count"):
+            open_store(store_dir, CATALOG).snapshot().columns(table, [CATALOG.table(table).attributes[0].name])
 
     def test_append_after_reopen_decodes_no_fact_row(self, tmp_path, store_dir, monkeypatch):
         crops = tuple(
@@ -890,3 +896,101 @@ class TestFieldSizeLimit:
         store.flush()
         assert store.snapshot().rows("Crop") == ({"sk": 1, **_crop("C1", "Grass")},)
         _same_snapshot(open_store(store_dir, CATALOG).snapshot(), store.snapshot())
+
+
+# --- projecting snapshots ---------------------------------------------------
+
+def _column_names(table: str) -> list[str]:
+    table_def = CATALOG.table(table)
+    return (["sk"] if table_def.role == "dimension" else []) + [a.name for a in table_def.attributes]
+
+
+def _projection(snapshot: Snapshot, table: str, names) -> list[tuple]:
+    return [tuple(row.get(name) for row in snapshot.rows(table)) for name in names]
+
+
+# Cells csv_field leaves bare (so the table is read by line and comma) or quotes.
+_BARE_TEXT = st.text(alphabet=st.sampled_from("ab \x0c\x85 "), min_size=1, max_size=6)
+_QUOTING_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n'), min_size=1, max_size=6)
+
+
+@st.composite
+def _crop_rows(draw):
+    text = _QUOTING_TEXT if draw(st.booleans()) else _BARE_TEXT
+    optional = {"VarietyName": text, "EstYield": _NUMBER, "BbchScale": text, "ScienName": text, "Equ.Weight": _NUMBER}
+    return draw(st.lists(st.fixed_dictionaries({"CropName": text}, optional=optional), min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(crops=_crop_rows(), facts=st.lists(_TYPED_FACT, max_size=6), data=st.data())
+@example(crops=[{"CropName": "a"}, {"CropName": "b", "ScienName": "x"}], facts=[{"CropKey": 2}], data=None)
+@example(crops=[{"CropName": 'a"\n,', "ScienName": "b\r\n"}, {"CropName": "c"}], facts=[], data=None)
+def test_columns_are_the_projection_of_rows(crops, facts, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = open_store(Path(tmp) / "store", CATALOG)
+        for i, crop in enumerate(crops, 1):
+            store.upsert_dimension("Crop", {"CropID": f"C{i}", **crop})
+        store.insert_facts("FieldFact", [f for f in facts if f["CropKey"] <= len(crops)])
+        live = store.snapshot()
+        store.flush()
+        for snapshot in (live, open_store(Path(tmp) / "store", CATALOG).snapshot()):
+            for table in snapshot.table_digests:
+                every = _column_names(table)
+                names = data.draw(st.lists(st.sampled_from(every), max_size=6)) if data else every
+                got = snapshot.columns(table, names)  # decoded before any row is parsed
+                assert got == _projection(snapshot, table, names)
+                assert snapshot.columns(table, every) == _projection(snapshot, table, every)
+
+
+class TestProjectingSnapshot:
+    def test_blank_lines_of_a_one_column_table_read_as_absent_cells(self, store_dir):
+        store = open_store(store_dir, _ONE_COLUMN_FACT)
+        store.insert_facts("F", [{}, {"M": 1.5}, {}])
+        live = store.snapshot()
+        store.flush()
+        for snapshot in (live, open_store(store_dir, _ONE_COLUMN_FACT).snapshot()):
+            assert snapshot.columns("F", ["M"]) == [(None, 1.5, None)]
+            assert snapshot.rows("F") == ({}, {"M": 1.5}, {})
+
+    def test_a_table_never_written_has_empty_columns(self, store_dir):
+        snapshot = _small_store(store_dir).snapshot()
+        assert snapshot.columns("Soil", ["SoilID", "PH"]) == [(), ()]
+        assert snapshot.rows("Soil") == ()
+
+    def test_unknown_column_is_an_unknown_attribute_error(self, store_dir):
+        snapshot = _small_store(store_dir).snapshot()
+        with pytest.raises(UnknownAttributeError, match="Crop.Colour"):
+            snapshot.columns("Crop", ["CropID", "Colour"])
+
+    def test_each_column_is_decoded_once(self, store_dir, monkeypatch):
+        snapshot = open_store(_small_store(store_dir).path, CATALOG).snapshot()
+        decoded = []
+        columns = store_module._TableState.columns
+        monkeypatch.setattr(store_module._TableState, "columns", lambda s, names: decoded.append(list(names)) or columns(s, names))
+        assert snapshot.columns("Crop", ["CropName", "EstYield"]) == [("Grass", "Winter Rye"), (20.5, None)]
+        assert snapshot.columns("Crop", ["EstYield", "ScienName", "CropName"]) == [
+            (20.5, None), ('Poa "annua", L.', None), ("Grass", "Winter Rye"),
+        ]
+        assert decoded == [["CropName", "EstYield"], ["ScienName"]]
+
+    def test_snapshot_keeps_the_bytes_of_its_load_boundary(self, store_dir):
+        store = _small_store(store_dir)
+        before = store.snapshot()
+        store.upsert_dimension("Crop", _crop("C3", "Oats"))
+        store.insert_facts("FieldFact", [{"CropKey": 3, "YieldValue": 1.0}])
+        assert before.columns("Crop", ["CropID"]) == [("C1", "C2")]
+        assert len(before.rows("FieldFact")) == 2
+        assert before.table_digests != store.snapshot().table_digests
+
+    @pytest.mark.parametrize("change", ["extra", "short"])
+    def test_record_of_the_wrong_width_is_a_store_error_naming_the_table(self, store_dir, change):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5, "Calcium": 3.0})
+        store.flush()
+        line = (Path(store_dir) / "Soil" / "data.csv").read_bytes().split(b"\n")[1]
+        forged = line + b",extra,cells" if change == "extra" else line.rsplit(b",", 1)[0]
+        _forge(store_dir, "Soil", b"\n" + line + b"\n", b"\n" + forged + b"\n")
+        snapshot = open_store(store_dir, CATALOG).snapshot()
+        assert snapshot.columns("Soil", ["SoilID", "PH"]) == [("S1",), (6.5,)]  # projection reads no further
+        with pytest.raises(StoreError, match=r"'Soil'.*cells, expected 20"):
+            snapshot.rows("Soil")
