@@ -195,8 +195,11 @@ class _TableState:
             columns = []
             for i, decode in wanted:
                 cells = list(map(itemgetter(i), records))
-                columns.append([decode(text) if text else None for text in cells] if "" in cells else
-                               list(map(decode, cells)))
+                if "" in cells:  # an absent cell reads None
+                    cells = [decode(text) if text else None for text in cells]
+                elif decode is not str:
+                    cells = list(map(decode, cells))
+                columns.append(cells)
         self._check_count(len(records))
         return columns
 
