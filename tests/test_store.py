@@ -910,7 +910,7 @@ def _projection(snapshot: Snapshot, table: str, names) -> list[tuple]:
 
 
 # Cells csv_field leaves bare (so the table is read by line and comma) or quotes.
-_BARE_TEXT = st.text(alphabet=st.sampled_from("ab \x0c\x85 "), min_size=1, max_size=6)
+_BARE_TEXT = st.text(alphabet=st.sampled_from("ab \x0c\x85\u2028"), min_size=1, max_size=6)
 _QUOTING_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n'), min_size=1, max_size=6)
 
 
