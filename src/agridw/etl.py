@@ -579,12 +579,23 @@ class CompiledMapping:
 
 # --- pipeline ---------------------------------------------------------------
 
+def _ledger_raw(raw: str) -> str:
+    """``raw`` as the ledger holds it: when longer than ``csv.field_size_limit()``,
+    a prefix plus a marker stating the full length, so that ``csv.reader``
+    reads the ledger back."""
+    limit = csv.field_size_limit()
+    if len(raw) <= limit:
+        return raw
+    marker = f"...[cut: {len(raw)} characters]"
+    return raw[:limit - len(marker)] + marker
+
+
 def write_reject_ledger(rejects: Sequence[RejectRecord], path: str | Path) -> Path:
     """Full reject ledger as delimited text: source,row,binding,reason,raw."""
     out = io.StringIO()
     out.write("source,row,binding,reason,raw\n")
     for r in rejects:
-        out.write(csv_line([r.source, str(r.row), r.binding, r.reason, r.raw]))
+        out.write(csv_line([r.source, str(r.row), r.binding, r.reason, _ledger_raw(r.raw)]))
     return atomic_write_text(Path(path), out.getvalue())
 
 

@@ -490,6 +490,15 @@ class Snapshot:
             self._rows[table_name] = state.rows() if state is not None else ()
         return self._rows[table_name]
 
+    def row_count(self, table_name: str) -> int:
+        """The table's row count, confirmed by a read of its bytes; 0 for a table never written."""
+        state = self._states.get(table_name)
+        if state is None:
+            return 0
+        if not state.checked:
+            state.columns(())
+        return state.count
+
     def columns(self, table_name: str, names: Sequence[str]) -> list[Sequence]:
         """The named columns of a table, in row order, each cell decoded and an
         absent one None; empty columns for a table never written. Decodes only
@@ -566,22 +575,6 @@ class ResultTable:
     rows: list[tuple]
 
 
-def _filter_passes(filters, row: Mapping) -> bool:
-    for flt in filters:
-        value = row.get(flt.attribute)
-        if isinstance(flt, EqFilter):
-            if value != flt.value:
-                return False
-        else:
-            if value is None:
-                return False
-            if flt.lo is not None and value < flt.lo:
-                return False
-            if flt.hi is not None and value > flt.hi:
-                return False
-    return True
-
-
 def validate_query(catalog: Catalog, q: QuerySpec) -> TableDef:
     fact = catalog.table(q.fact)
     if fact is None or fact.role != "fact":
@@ -618,61 +611,65 @@ def validate_query(catalog: Catalog, q: QuerySpec) -> TableDef:
     return fact
 
 
+def _zipped(columns: Sequence[Sequence], n: int) -> list[tuple]:
+    """The rows of ``columns``: ``n`` empty rows when there is no column."""
+    return list(zip(*columns)) if columns else [()] * n
+
+
 def star_query(snapshot: Snapshot, q: QuerySpec) -> ResultTable:
     """Filter joined dimensions, inner-join facts on surrogate keys, project,
     then group/aggregate. Facts lacking a key for a joined dimension drop out;
-    the mean of an empty value set is absent and its count is 0.
+    the mean of an empty value set is absent and its count is 0. Reads only
+    the columns the query names: filter columns give the ``sk`` (the 1-based
+    row position) each dimension allows, and the fact's key columns the rows.
     """
     fact = validate_query(snapshot.catalog, q)
-
-    # sk -> dimension row for rows passing that join's filters
-    join_maps: list[tuple[str, dict[int, Mapping]]] = []
+    fks = [fact.foreign_key_for(join.dimension).name for join in q.joins]
+    source = {}  # output or aggregated name -> (table, column)
+    for name in (*q.project, *(agg.attribute for agg in q.aggregates)):
+        dimension, _, column = name.rpartition(".")
+        source[name] = (dimension or q.fact, column)
+    wanted: dict[str, list[str]] = {q.fact: list(fks)}
     for join in q.joins:
-        allowed: dict[int, Mapping] = {}
-        for row in snapshot.rows(join.dimension):
-            if _filter_passes(join.filters, row):
-                allowed[row[SK_COLUMN]] = row
-        fk_attr = fact.foreign_key_for(join.dimension)
-        assert fk_attr is not None
-        join_maps.append((fk_attr.name, allowed))
+        wanted.setdefault(join.dimension, []).extend(flt.attribute for flt in join.filters)
+    for table, column in source.values():
+        wanted[table].append(column)
+    read = {(table, name): values for table, names in wanted.items()
+            for name, values in zip(names, snapshot.columns(table, names))}
 
-    matched: list[tuple[Mapping, dict[str, Mapping]]] = []
-    dim_names = [join.dimension for join in q.joins]
-    for fact_row in snapshot.rows(q.fact):
-        dims: dict[str, Mapping] = {}
-        ok = True
-        for (fk_name, allowed), dim_name in zip(join_maps, dim_names):
-            sk = fact_row.get(fk_name)
-            if sk is None or sk not in allowed:
-                ok = False
-                break
-            dims[dim_name] = allowed[sk]
-        if ok:
-            matched.append((fact_row, dims))
-
-    def cell(name: str, fact_row: Mapping, dims: Mapping[str, Mapping]):
-        if "." in name:
-            dim_name, attr = name.split(".", 1)
-            return dims[dim_name].get(attr)
-        return fact_row.get(name)
-
+    positions: Sequence[int] = range(snapshot.row_count(q.fact))  # of the matching fact rows
+    for join, fk in zip(q.joins, fks):
+        sks: Sequence[int] = range(1, snapshot.row_count(join.dimension) + 1)
+        for flt in join.filters:
+            values = read[join.dimension, flt.attribute]
+            if isinstance(flt, EqFilter):
+                sks = [sk for sk in sks if values[sk - 1] == flt.value]
+            else:  # None fails a range
+                lo, hi = flt.lo, flt.hi
+                sks = [
+                    sk for sk in sks
+                    if (v := values[sk - 1]) is not None and (lo is None or not v < lo) and (hi is None or not v > hi)
+                ]
+        allowed, keys = set(sks), read[q.fact, fk]
+        positions = [i for i in positions if keys[i] in allowed]
+    at = {q.fact: positions}  # each table's row for each matching fact row
+    for join, fk in zip(q.joins, fks):
+        keys = read[q.fact, fk]
+        at[join.dimension] = [keys[i] - 1 for i in positions]
+    picked = {name: list(map(read[table, column].__getitem__, at[table])) for name, (table, column) in source.items()}
     if not q.aggregates:
-        columns = tuple(q.project)
-        rows = [tuple(cell(name, f, d) for name in q.project) for f, d in matched]
-        return ResultTable(columns=columns, rows=rows)
+        return ResultTable(columns=tuple(q.project), rows=_zipped([picked[name] for name in q.project], len(positions)))
 
-    groups: dict[tuple, list[tuple[Mapping, Mapping]]] = {}
-    for f, d in matched:
-        key = tuple(cell(name, f, d) for name in q.group_by)
-        groups.setdefault(key, []).append((f, d))
+    groups: dict[tuple, list[int]] = {}
+    for j, key in enumerate(_zipped([picked[name] for name in q.group_by], len(positions))):
+        groups.setdefault(key, []).append(j)
 
     columns = tuple(q.group_by) + tuple(a.column for a in q.aggregates)
     rows = []
     for key, members in groups.items():
         out = list(key)
         for agg in q.aggregates:
-            values = [f.get(agg.attribute) for f, _ in members]
-            values = [v for v in values if v is not None]
+            values = [v for v in map(picked[agg.attribute].__getitem__, members) if v is not None]
             if agg.op == "count":
                 out.append(len(values))
             elif not values:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -474,6 +475,14 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     return str(path)
 
 
+def _cut(raw: str, limit: int = 131_072) -> str:
+    """A ledger ``raw`` as the README states it: whole up to ``limit``
+    characters, else a prefix and a marker giving the full length, ``limit``
+    characters in all."""
+    marker = f"...[cut: {len(raw)} characters]"
+    return raw if len(raw) <= limit else raw[:limit - len(marker)] + marker
+
+
 def _pipeline_sources(tmp_path, crop_rows, fact_rows):
     crops = _write(tmp_path, "crops.csv", "crop_id,crop_name\n" + "".join(crop_rows))
     facts = _write(tmp_path, "facts.csv", "crop_id,yield_t\n" + "".join(fact_rows))
@@ -530,9 +539,12 @@ class TestRunPipeline:
         assert [r["CropID"] for r in store.snapshot().rows("Crop")] == ["C1", "C3"]
         assert report.tables["FieldFact"].rows_accepted == 1
         ledger = write_reject_ledger(report.rejects, tmp_path / "rejects.csv")
-        assert ledger.read_text() == "source,row,binding,reason,raw\n" + csv_line(
-            [crops, "2", STRUCTURAL_BINDING, "type-error", f"C2,{cell}"]
-        )
+        assert csv.field_size_limit() == 131_072  # read back at the default limit
+        with open(ledger, newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == [
+                ["source", "row", "binding", "reason", "raw"],
+                [crops, "2", STRUCTURAL_BINDING, "type-error", _cut(f"C2,{cell}")],
+            ]
 
     @pytest.mark.parametrize(
         "cell, after",
@@ -722,3 +734,13 @@ class TestRejectLedger:
         assert [(r.get("CropKey"), r["YieldValue"], r.get("HerbicideQty")) for r in rows] == [
             (1, 8.5, 2.5), (None, 5.0, None), (2, 5.5, None),
         ]
+
+    @pytest.mark.parametrize("extra", [0, 1, 10_000])
+    def test_raw_over_the_csv_field_limit_is_cut_with_its_length(self, tmp_path, extra):
+        raw = ('a,"b ""q""\r\n' * 20_000)[:131_072 + extra]
+        ledger = write_reject_ledger([RejectRecord("s.csv", 3, "<row>", "type-error", raw)], tmp_path / "r.csv")
+        with open(ledger, newline="", encoding="utf-8") as handle:
+            (_, entry) = csv.reader(handle)  # at the default limit
+        assert entry == ["s.csv", "3", "<row>", "type-error", _cut(raw)]
+        assert len(entry[4]) == 131_072
+        assert entry[4].endswith(f"...[cut: {len(raw)} characters]") == (extra > 0)

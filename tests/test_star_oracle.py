@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
-from agridw.store import star_query
+import pytest
 
-from helpers import nested_loop_star_query, random_query, random_snapshot, rows_equal, sort_rows
+import agridw.store as store_module
+from agridw.store import (
+    AGGREGATE_OPS,
+    Aggregate,
+    DimensionJoin,
+    EqFilter,
+    QuerySpec,
+    RangeFilter,
+    Snapshot,
+    star_query,
+)
+
+from helpers import (
+    nested_loop_star_query,
+    random_mini_catalog,
+    random_query,
+    random_snapshot,
+    rows_equal,
+    sort_rows,
+)
 
 
 def _check_one(rng: random.Random, max_facts: int) -> None:
@@ -32,3 +53,124 @@ def test_engine_matches_oracle_with_duplicates_and_absence():
     rng = random.Random(99)
     for _ in range(20):
         _check_one(rng, max_facts=60)
+
+
+# --- edge cases, compared with the oracle in exact row order -----------------
+
+_EDGE_CATALOG = random_mini_catalog(random.Random(0), 2)
+_EDGE_DIMS = {
+    "D1": [
+        {"sk": 1, "ID": "a", "Cat": "alpha", "Val": 1.5},
+        {"sk": 2, "ID": "b", "Cat": "beta"},
+        {"sk": 3, "ID": "c", "Cat": "alpha", "Val": -2.0},
+    ],
+    "D2": [{"sk": 1, "ID": "x", "Cat": "gamma"}, {"sk": 2, "ID": "y", "Cat": "delta", "Val": 0.0}],
+}
+_EDGE_FACTS = [
+    {"D1Key": 3, "D2Key": 1, "M1": 4.0, "M2": 1.0},
+    {"D1Key": 1, "M1": -1.25},  # no D2 key
+    {"D1Key": 9, "D2Key": 2, "M1": 7.0},  # D1 key past the last row
+    {"D1Key": 2, "D2Key": 2, "M2": 3.5},
+    {"D2Key": 1, "M1": 0.5, "M2": 2.0},  # no D1 key
+    {"D1Key": 1, "D2Key": 2},
+]
+
+
+def _edge_snapshot(*names: str) -> Snapshot:
+    tables = {**_EDGE_DIMS, "Fact": _EDGE_FACTS}
+    return Snapshot.from_tables(_EDGE_CATALOG, {name: tables[name] for name in names})
+
+
+def _same_as_oracle(snapshot: Snapshot, q: QuerySpec) -> list:
+    got = star_query(snapshot, q)
+    assert (got.columns, got.rows) == nested_loop_star_query(snapshot, q)
+    return got.rows
+
+
+_ALL_AGGREGATES = tuple(Aggregate(op, "M2") for op in AGGREGATE_OPS)
+
+
+@pytest.mark.parametrize("joins", [("D1",), ("D2",), ("D1", "D2"), ("D2", "D1")])
+def test_absent_and_out_of_range_keys_drop_the_fact_row(joins):
+    q = QuerySpec(fact="Fact", joins=tuple(DimensionJoin(name) for name in joins),
+                  project=("M1", *(f"{name}.ID" for name in joins)))
+    rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), q)
+    kept = [fact for fact in _EDGE_FACTS
+            if all(1 <= fact.get(f"{name}Key", 0) <= len(_EDGE_DIMS[name]) for name in joins)]
+    assert [row[0] for row in rows] == [fact.get("M1") for fact in kept]
+
+
+@pytest.mark.parametrize("joins", [(), (DimensionJoin("D1"),), (DimensionJoin("D2", (EqFilter("Cat", "delta"),)),)])
+def test_empty_projection_without_aggregates_gives_one_empty_row_per_match(joins):
+    rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), QuerySpec(fact="Fact", joins=joins))
+    assert rows and set(rows) == {()}
+
+
+@pytest.mark.parametrize("tables", [("D1", "D2"), ("D1", "Fact"), ("D2", "Fact"), ()])
+@pytest.mark.parametrize("q", [
+    QuerySpec(fact="Fact"),
+    QuerySpec(fact="Fact", project=("M1",)),
+    QuerySpec(fact="Fact", aggregates=_ALL_AGGREGATES),
+    QuerySpec(fact="Fact", joins=(DimensionJoin("D1"),), project=("D1.Cat", "M2")),
+    QuerySpec(fact="Fact", joins=(DimensionJoin("D2", (RangeFilter("Val", lo=-1.0),)),), project=("D2.ID",)),
+    QuerySpec(fact="Fact", joins=(DimensionJoin("D1"),), project=("D1.Cat",), group_by=("D1.Cat",),
+              aggregates=_ALL_AGGREGATES),
+])
+def test_a_table_never_written_reads_as_no_rows(tables, q):
+    _same_as_oracle(_edge_snapshot(*tables), q)
+
+
+def test_a_column_projected_twice():
+    q = QuerySpec(fact="Fact", joins=(DimensionJoin("D1"), DimensionJoin("D2")),
+                  project=("M1", "D1.Cat", "M1", "D2.Val", "D1.Cat"))
+    rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), q)
+    assert rows and all(row[0] == row[2] and row[1] == row[4] for row in rows)
+
+
+def test_an_absent_group_key_is_a_group():
+    q = QuerySpec(fact="Fact", joins=(DimensionJoin("D1"), DimensionJoin("D2")), project=("D1.Val", "D2.Val"),
+                  group_by=("D2.Val", "D1.Val"), aggregates=(Aggregate("count", "M1"), Aggregate("sum", "M2")))
+    rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), q)
+    assert any(None in row[:2] for row in rows)
+
+
+def test_min_and_max_over_absent_values_are_absent():
+    q = QuerySpec(fact="Fact", joins=(DimensionJoin("D1", (EqFilter("Cat", "alpha"),)),), project=("D1.ID",),
+                  group_by=("D1.ID",), aggregates=_ALL_AGGREGATES)
+    rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), q)
+    assert ("a", 0, None, None, None, None) in rows  # D1 row "a": two facts, neither with M2
+
+
+# --- the engine reads columns only --------------------------------------------
+
+def _engine_reads_columns_only(monkeypatch, snapshot: Snapshot, q: QuerySpec) -> None:
+    """The engine's result, with every row reader refused, equals the oracle's,
+    which reads rows before the refusal."""
+    want = nested_loop_star_query(snapshot, q)
+
+    def refused(*args):
+        raise AssertionError("star_query read whole rows")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module._TableState, "rows", refused)
+        patch.setattr(Snapshot, "rows", refused)
+        got = star_query(snapshot, q)
+    assert (got.columns, got.rows) == want, f"{q}"
+
+
+def test_engine_reads_columns_only_on_the_c4_queries(monkeypatch):
+    rng = random.Random(0xC4)  # the acceptance suite's C4 snapshots and queries
+    for i in range(200):
+        snapshot = random_snapshot(rng, max_facts=1000 if i % 4 == 0 else 200)
+        _engine_reads_columns_only(monkeypatch, snapshot, random_query(rng, snapshot))
+
+
+def test_engine_reads_columns_only_on_the_bench_query_shapes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    query = workloads.Query(tmp_path, 1, workloads.SIZES["smoke"])
+    query.setup()
+    query.prepare_checks()
+    assert len(query.pool) == len(workloads.QUERY_SHAPES) == 12
+    for q in query.pool:
+        _engine_reads_columns_only(monkeypatch, query.snapshot, q)

@@ -535,6 +535,16 @@ def _forge(store_dir, table: str, old: bytes, new: bytes) -> None:
     (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
 
 
+_TEXT_FACT = Catalog(
+    version="text-fact",
+    tables={
+        **_ONE_COLUMN_FACT.tables,
+        "F": TableDef(name="F", role="fact", measures=("M",), dimension_refs=("D",), attributes=(
+            AttributeDef(name="Note", kind="text"), AttributeDef(name="M", kind="number"))),
+    },
+)
+
+
 class TestLazyReopen:
     def test_row_with_every_value_absent_survives_reopen(self, store_dir):
         assert validate_catalog(_ONE_COLUMN_FACT) == []
@@ -576,6 +586,34 @@ class TestLazyReopen:
         with pytest.raises(StoreError, match="Soil"):
             snapshot.rows("Soil")
 
+    @pytest.mark.parametrize("table, old, new, naming", [
+        ("Soil", b",6.5,", b",x6.5,", (
+            QuerySpec("FieldFact", joins=(DimensionJoin("Soil", (RangeFilter("PH", lo=7.0),)),)),
+            QuerySpec("FieldFact", joins=(DimensionJoin("Soil"),), project=("Soil.PH",)),
+        )),
+        ("FieldFact", b",2.375,", b",2.3.75,", (
+            QuerySpec("FieldFact", project=("HerbicideQty",)),
+            QuerySpec("FieldFact", joins=(DimensionJoin("Soil"),), aggregates=(Aggregate("min", "HerbicideQty"),)),
+        )),
+    ])
+    def test_star_query_meets_a_bad_cell_only_in_a_column_it_names(self, store_dir, table, old, new, naming):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Soil", {"SoilID": "S1", "PH": 6.5})
+        store.upsert_dimension("Soil", {"SoilID": "S2", "PH": 7.25})
+        store.insert_facts("FieldFact", [
+            {"SoilKey": 1, "YieldValue": 8.0, "HerbicideQty": 2.375},
+            {"SoilKey": 2, "YieldValue": 9.0},
+        ])
+        store.flush()
+        _forge(store_dir, table, old, new)
+        snapshot = open_store(store_dir, CATALOG).snapshot()
+        spared = QuerySpec("FieldFact", joins=(DimensionJoin("Soil", (EqFilter("SoilID", "S2"),)),),
+                           project=("YieldValue", "Soil.SoilID"))
+        assert star_query(snapshot, spared).rows == [(9.0, "S2")]
+        for q in naming:
+            with pytest.raises(StoreError, match=table):
+                star_query(snapshot, q)
+
     def test_bare_carriage_return_in_a_field_key_is_a_store_error(self, store_dir):
         store = open_store(store_dir, CATALOG)
         store.upsert_dimension("Field", {"FieldID": "F1", "FieldName": "North", "Area": 2.5})
@@ -616,6 +654,25 @@ class TestLazyReopen:
             open_store(store_dir, CATALOG).snapshot().rows(table)
         with pytest.raises(StoreError, match=f"{table}.*row count"):
             open_store(store_dir, CATALOG).snapshot().columns(table, [CATALOG.table(table).attributes[0].name])
+
+    @pytest.mark.parametrize("table, q", [
+        ("Crop", QuerySpec("FieldFact", joins=(DimensionJoin("Crop"),))),
+        ("F", QuerySpec("F")),
+    ])
+    def test_star_query_checks_the_row_count_of_a_table_it_reads_no_column_of(self, store_dir, table, q):
+        catalog = _TEXT_FACT if table == "F" else CATALOG
+        assert validate_catalog(catalog) == []
+        if table == "F":
+            store = open_store(store_dir, catalog)
+            store.insert_facts("F", [{"Note": "a", "M": 1.0}, {"M": 2.0}])
+            store.flush()
+        else:
+            _small_store(store_dir)
+        manifest = _manifest(store_dir)
+        manifest["tables"][table]["rows"] += 1  # a table with text: open checks no count
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"{table}.*row count"):
+            star_query(open_store(store_dir, catalog).snapshot(), q)
 
     def test_append_after_reopen_decodes_no_fact_row(self, tmp_path, store_dir, monkeypatch):
         crops = tuple(
