@@ -203,6 +203,12 @@ class _TableState:
         self._check_count(len(records))
         return columns
 
+    def confirmed_count(self) -> int:
+        """The row count, confirmed by a read of the bytes when it is not yet."""
+        if not self.checked:
+            self.columns(())
+        return self.count
+
     def frozen(self) -> "_TableState":
         """A copy holding the table's bytes as they are now: what this state
         appends later does not reach it."""
@@ -493,11 +499,7 @@ class Snapshot:
     def row_count(self, table_name: str) -> int:
         """The table's row count, confirmed by a read of its bytes; 0 for a table never written."""
         state = self._states.get(table_name)
-        if state is None:
-            return 0
-        if not state.checked:
-            state.columns(())
-        return state.count
+        return state.confirmed_count() if state is not None else 0
 
     def columns(self, table_name: str, names: Sequence[str]) -> list[Sequence]:
         """The named columns of a table, in row order, each cell decoded and an
@@ -625,14 +627,13 @@ def star_query(snapshot: Snapshot, q: QuerySpec) -> ResultTable:
     """
     fact = validate_query(snapshot.catalog, q)
     fks = [fact.foreign_key_for(join.dimension).name for join in q.joins]
-    source = {}  # output or aggregated name -> (table, column)
-    for name in (*q.project, *(agg.attribute for agg in q.aggregates)):
-        dimension, _, column = name.rpartition(".")
-        source[name] = (dimension or q.fact, column)
+    # (table, column) of each projected name, split as validate_query splits it, and of each aggregate's measure
+    projected = [tuple(name.split(".", 1)) if "." in name else (q.fact, name) for name in q.project]
+    measured = [(q.fact, agg.attribute) for agg in q.aggregates]
     wanted: dict[str, list[str]] = {q.fact: list(fks)}
     for join in q.joins:
         wanted.setdefault(join.dimension, []).extend(flt.attribute for flt in join.filters)
-    for table, column in source.values():
+    for table, column in (*projected, *measured):
         wanted[table].append(column)
     read = {(table, name): values for table, names in wanted.items()
             for name, values in zip(names, snapshot.columns(table, names))}
@@ -656,20 +657,21 @@ def star_query(snapshot: Snapshot, q: QuerySpec) -> ResultTable:
     for join, fk in zip(q.joins, fks):
         keys = read[q.fact, fk]
         at[join.dimension] = [keys[i] - 1 for i in positions]
-    picked = {name: list(map(read[table, column].__getitem__, at[table])) for name, (table, column) in source.items()}
+    picked = {source: list(map(read[source].__getitem__, at[source[0]])) for source in {*projected, *measured}}
     if not q.aggregates:
-        return ResultTable(columns=tuple(q.project), rows=_zipped([picked[name] for name in q.project], len(positions)))
+        return ResultTable(columns=tuple(q.project), rows=_zipped([picked[s] for s in projected], len(positions)))
 
     groups: dict[tuple, list[int]] = {}
-    for j, key in enumerate(_zipped([picked[name] for name in q.group_by], len(positions))):
+    group_columns = [picked[projected[list(q.project).index(name)]] for name in q.group_by]
+    for j, key in enumerate(_zipped(group_columns, len(positions))):
         groups.setdefault(key, []).append(j)
 
     columns = tuple(q.group_by) + tuple(a.column for a in q.aggregates)
     rows = []
     for key, members in groups.items():
         out = list(key)
-        for agg in q.aggregates:
-            values = [v for v in map(picked[agg.attribute].__getitem__, members) if v is not None]
+        for agg, source in zip(q.aggregates, measured):
+            values = [v for v in map(picked[source].__getitem__, members) if v is not None]
             if agg.op == "count":
                 out.append(len(values))
             elif not values:

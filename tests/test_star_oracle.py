@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import agridw.store as store_module
+from agridw.catalog import AttributeDef, builtin_catalog
 from agridw.store import (
     AGGREGATE_OPS,
     Aggregate,
@@ -139,6 +141,44 @@ def test_min_and_max_over_absent_values_are_absent():
                   group_by=("D1.ID",), aggregates=_ALL_AGGREGATES)
     rows = _same_as_oracle(_edge_snapshot("D1", "D2", "Fact"), q)
     assert ("a", 0, None, None, None, None) in rows  # D1 row "a": two facts, neither with M2
+
+
+def test_a_dimension_attribute_named_with_a_dot():
+    catalog = builtin_catalog()
+    crops = [{"sk": 1, "CropID": "c1", "CropName": "Wheat", "Equ.Weight": 2.5},
+             {"sk": 2, "CropID": "c2", "CropName": "Oats"},
+             {"sk": 3, "CropID": "c3", "CropName": "Rye", "Equ.Weight": 7.0}]
+    facts = [{"CropKey": 3, "YieldValue": 9.0}, {"CropKey": 1, "YieldValue": 8.0},
+             {"CropKey": 2, "YieldValue": 6.0}, {"CropKey": 1}, {"YieldValue": 1.0}]
+    snapshot = Snapshot.from_tables(catalog, {"Crop": crops, "FieldFact": facts})
+    rows = _same_as_oracle(snapshot, QuerySpec(
+        fact="FieldFact", joins=(DimensionJoin("Crop", (RangeFilter("Equ.Weight", lo=2.0),)),),
+        project=("Crop.Equ.Weight", "YieldValue")))
+    assert rows == [(7.0, 9.0), (2.5, 8.0), (2.5, None)]
+    rows = _same_as_oracle(snapshot, QuerySpec(
+        fact="FieldFact", joins=(DimensionJoin("Crop"),), project=("Crop.Equ.Weight",),
+        group_by=("Crop.Equ.Weight",), aggregates=(Aggregate("count", "YieldValue"), Aggregate("sum", "YieldValue"))))
+    assert rows == [(7.0, 1, 9.0), (2.5, 1, 8.0), (None, 1, 6.0)]
+
+
+def test_a_fact_measure_named_with_a_dot_is_read_from_the_fact():
+    catalog = random_mini_catalog(random.Random(0), 1)
+    fact = catalog.tables["Fact"]
+    fact = replace(fact, attributes=fact.attributes + (AttributeDef(name="D1.Val", kind="number"),),
+                   measures=fact.measures + ("D1.Val",))
+    catalog = replace(catalog, tables={**catalog.tables, "Fact": fact})
+    dims = [{"sk": 1, "ID": "a", "Cat": "alpha", "Val": 100.0}, {"sk": 2, "ID": "b", "Cat": "beta", "Val": 200.0}]
+    facts = [{"D1Key": 1, "D1.Val": 1.0}, {"D1Key": 2, "D1.Val": 2.0}, {"D1Key": 1, "D1.Val": 4.0}]
+    snapshot = Snapshot.from_tables(catalog, {"D1": dims, "Fact": facts})
+    rows = _same_as_oracle(snapshot, QuerySpec(
+        fact="Fact", joins=(DimensionJoin("D1"),), project=("D1.Cat",), group_by=("D1.Cat",),
+        aggregates=(Aggregate("sum", "D1.Val"),)))
+    assert rows == [("alpha", 5.0), ("beta", 2.0)]
+    # the same name projected is the dimension's attribute, aggregated the fact's measure
+    rows = _same_as_oracle(snapshot, QuerySpec(
+        fact="Fact", joins=(DimensionJoin("D1"),), project=("D1.Val",), group_by=("D1.Val",),
+        aggregates=(Aggregate("max", "D1.Val"),)))
+    assert rows == [(100.0, 4.0), (200.0, 2.0)]
 
 
 # --- the engine reads columns only --------------------------------------------
