@@ -129,11 +129,8 @@ def _cmd_store_verify(args) -> int:
     if not (path / MANIFEST_NAME).is_file():
         raise StoreError(f"no store manifest in {path}")
     store = open_store(path, catalog)
-    snapshot = store.snapshot()  # open checks digests and headers; rows() below decodes every cell
-    upgrade = ""
-    if store.manifest_version != MANIFEST_VERSION:
-        upgrade = f" (verified; the next write upgrades it to {MANIFEST_VERSION} with the digests below)"
-    print(f"manifest version {store.manifest_version}{upgrade}")
+    snapshot = store.snapshot()  # open checks digests, headers and row counts; rows() below decodes every cell
+    print(f"manifest version {MANIFEST_VERSION}")
     names = sorted(snapshot.table_digests)
     for name in names:
         size = (path / name / DATA_NAME).stat().st_size

@@ -548,9 +548,12 @@ class CompiledMapping:
 
         Each binding runs its transform chain, then the missing-required check,
         then for a number attribute the type, range and finiteness checks, and
-        for any other attribute the text check.
+        for any other attribute the text check: a foreign key's text is
+        resolved later, and any other text must be one the store holds,
+        non-empty and no longer than ``csv.field_size_limit()``.
         """
         fields = row.fields
+        limit = csv.field_size_limit()
         typed: dict[str, object] = {}
         for source, attr, chain, bounds in self._plan:
             value: object = fields.get(source)
@@ -569,7 +572,7 @@ class CompiledMapping:
                             raise _BindingFailure(REASON_RANGE)
                     if not isfinite(value):  # e.g. a unit conversion that overflowed
                         raise _BindingFailure(REASON_TYPE)
-                elif not isinstance(value, str):
+                elif not isinstance(value, str) or attr.kind != "foreign-key" and not 0 < len(value) <= limit:
                     raise _BindingFailure(REASON_TYPE)
             except _BindingFailure as failure:
                 return _reject(row, attr.name, failure.reason)
@@ -622,10 +625,11 @@ def run_pipeline(
 ) -> LoadReport:
     """Load all sources: dimensions first, then facts, with a full reject ledger.
 
-    Dimension rows are upserted by natural key (first write wins); fact rows
-    resolve each foreign-key value against the referenced dimension's leading
-    natural-key part and are rejected as missing-required when unresolved.
-    The store is flushed after each source batch.
+    Every row resolves each foreign-key value against the referenced
+    dimension's leading natural-key part and is rejected as missing-required
+    when unresolved, so a dimension's source must be listed before that of
+    any dimension that references it. Dimension rows are upserted by natural
+    key (first write wins). The store is flushed after each source batch.
     """
     synonyms = synonyms if synonyms is not None else default_synonym_tables()
     compiled: list[tuple[SourceDescriptor, CompiledMapping]] = []
@@ -646,7 +650,7 @@ def run_pipeline(
             for item in read_source(src):
                 stats.rows_read += 1
                 outcome = item if isinstance(item, RejectRecord) else mapping.apply(item)
-                if is_fact and not isinstance(outcome, RejectRecord):
+                if not isinstance(outcome, RejectRecord):
                     outcome = _resolve_foreign_keys(store, fk_attrs, item, outcome)
                 if isinstance(outcome, RejectRecord):
                     stats.rows_rejected += 1

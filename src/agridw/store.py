@@ -5,8 +5,8 @@ rows, LF endings, numbers as decimal text with ≤6 fractional digits), plus a
 top-level ``manifest.json`` recording the format version, the catalog digest
 and per-table row counts and digests. Version 2 digests are BLAKE2b with an
 8-byte digest over the exact ``data.csv`` bytes, maintained incrementally
-because tables are append-only. Version 1 manifests (FNV-1a 64-bit digests
-over the same bytes) are still read; the next flush rewrites them as version 2.
+because tables are append-only; no other version is read. Opening a store
+checks each table's digest, header and row count, and parses no cell.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ LOCK_NAME = ".lock"
 DATA_NAME = "data.csv"
 SK_COLUMN = "sk"
 MANIFEST_VERSION = 2
-V1_MANIFEST = 1  # FNV-1a 64-bit table digests; read, never written
 
 AGGREGATE_OPS = ("count", "sum", "mean", "min", "max")
 
@@ -68,13 +67,13 @@ class _TableState:
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
     ``sk`` first for dimensions; ``encode`` (writes), ``index``, ``columns``
-    and ``rows`` (reads) all follow it. ``count`` is the table's row count and
-    ``checked`` whether the bytes have confirmed it.
+    and ``rows`` (reads) all follow it. ``count`` is the table's row count,
+    checked against the bytes at open.
     """
 
     __slots__ = (
         "table", "plan", "names", "key_plan", "header", "_is_dim", "digest_state",
-        "chunks", "written", "count", "checked", "by_natural", "by_leading",
+        "chunks", "written", "count", "by_natural", "by_leading",
     )
 
     def __init__(self, table: TableDef):
@@ -92,35 +91,32 @@ class _TableState:
         self.chunks: list[bytes] = [self.header]
         self.written = 0
         self.count = 0
-        self.checked = True
         # None until ``index`` has read the file
         self.by_natural: dict[tuple, int] | None = {}
         self.by_leading: dict[str, int] | None = {}
 
     def load(self, data: bytes, rows: object) -> None:
-        """Hold the file bytes unparsed and hash them. Checks the header, and
-        for a table of keys and numbers alone every byte and the row count."""
+        """Hold the file bytes unparsed and hash them. Checks the header, the
+        row count, counted as ``_records`` frames the records, and for a table
+        of keys and numbers alone every byte."""
         self.digest_state = _blake2b64(data)
         self.chunks = [data]
         self.written = 1
-        name = self.table.name
+        self.by_natural = self.by_leading = None
+        name, start = self.table.name, len(self.header)
         if not data.startswith(self.header):
-            raise StoreError(f"table {name!r}: unexpected header {data[:len(self.header)]!r}")
-        if type(rows) is not int:
+            raise StoreError(f"table {name!r}: unexpected header {data[:start]!r}")
+        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.plan):
+            if _KEY_AND_NUMBER_BODY.fullmatch(data, start) is None:
+                raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
+        if data.find(b'"', start) < 0 and data.find(b"\r", start) < 0:  # no quoted cell: each "\n" ends a record
+            found = data.count(b"\n", start) + (not data.endswith(b"\n"))
+        else:
+            with self._readable():
+                found = sum(1 for _ in self._records())
+        if type(rows) is not int or rows != found:
             raise StoreError(f"table {name!r} row count mismatch")
         self.count = rows
-        self.checked = False
-        self.by_natural = self.by_leading = None
-        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.plan):
-            # no cell can be quoted or hold a newline, so a line is a row
-            if _KEY_AND_NUMBER_BODY.fullmatch(data, len(self.header)) is None:
-                raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
-            self._check_count(data.count(b"\n", len(self.header)))
-
-    def _check_count(self, rows: int) -> None:
-        if rows != self.count:
-            raise StoreError(f"table {self.table.name!r} row count mismatch")
-        self.checked = True
 
     @contextmanager
     def _readable(self) -> Iterator[None]:
@@ -152,9 +148,8 @@ class _TableState:
         return records
 
     def index(self) -> None:
-        """Build the natural-key indexes from the natural-key columns alone and
-        check the row count; the ``sk`` of a row is its position, and the
-        first row of a key wins."""
+        """Build the natural-key indexes from the natural-key columns alone;
+        the ``sk`` of a row is its position, and the first row of a key wins."""
         if self.by_natural is not None:
             return
         columns = [
@@ -168,7 +163,7 @@ class _TableState:
 
     def rows(self) -> tuple[dict, ...]:
         """Every row, each cell decoded; absent values are omitted. Checks the
-        width of every record and the row count."""
+        width of every record."""
         decoders = [(name, decode) for name, _, decode in self.plan]
         width = len(decoders)
         rows = []
@@ -177,12 +172,10 @@ class _TableState:
                 if len(record) != width and (record or width != 1):  # a one-column row with no value is a blank line
                     raise ValueError(f"a record of {len(record)} cells, expected {width}")
                 rows.append({name: decode(text) for (name, decode), text in zip(decoders, record) if text})
-        self._check_count(len(rows))
         return tuple(rows)
 
     def columns(self, names: Sequence[str]) -> list[list]:
-        """The named columns alone, each cell decoded and an absent one None.
-        Checks the row count."""
+        """The named columns alone, each cell decoded and an absent one None."""
         where = {name: (i, decode) for i, (name, _, decode) in enumerate(self.plan)}
         for name in names:
             if name not in where:
@@ -200,14 +193,7 @@ class _TableState:
                 elif decode is not str:
                     cells = list(map(decode, cells))
                 columns.append(cells)
-        self._check_count(len(records))
         return columns
-
-    def confirmed_count(self) -> int:
-        """The row count, confirmed by a read of the bytes when it is not yet."""
-        if not self.checked:
-            self.columns(())
-        return self.count
 
     def frozen(self) -> "_TableState":
         """A copy holding the table's bytes as they are now: what this state
@@ -277,11 +263,6 @@ class Store:
 
     # -- persistence ------------------------------------------------------
 
-    @property
-    def manifest_version(self) -> int:
-        """The version of the manifest on disk; a flush writes MANIFEST_VERSION."""
-        return self._manifest["version"]
-
     def _manifest_path(self) -> Path:
         return self.path / MANIFEST_NAME
 
@@ -304,7 +285,7 @@ class Store:
                 f"store was created for catalog {recorded}, supplied catalog is {self.catalog_digest}"
             )
         version = manifest.get("version")
-        if version not in (V1_MANIFEST, MANIFEST_VERSION):
+        if version != MANIFEST_VERSION:
             raise StoreError(f"unsupported manifest version {version!r}")
         for name, entry in manifest.get("tables", {}).items():
             table = self.catalog.table(name)
@@ -318,16 +299,16 @@ class Store:
             try:
                 state.load(data, entry.get("rows"))  # hashes the bytes before it checks them
             finally:  # so a digest mismatch is the error reported, whatever load found
-                # One pass: on v2 the verifying hash is the table's streaming state.
-                digest = state.digest if version == MANIFEST_VERSION else format(fnv1a64(data), "016x")
-                if digest != entry.get("digest"):
-                    raise StoreError(f"table {name!r} digest mismatch: file {digest}, manifest {entry.get('digest')}")
+                if state.digest != entry.get("digest"):
+                    raise StoreError(
+                        f"table {name!r} digest mismatch: file {state.digest}, manifest {entry.get('digest')}"
+                    )
             self._tables[name] = state
         self._manifest = manifest
 
     def _write_manifest(self) -> None:
         """Write the manifest unless the file already holds it: a flush that
-        appended nothing to a version 2 store rewrites nothing."""
+        appended nothing rewrites nothing."""
         manifest = {
             "catalog_digest": self.catalog_digest,
             "tables": {
@@ -375,11 +356,7 @@ class Store:
 
     def row_count(self, table_name: str) -> int:
         state = self._tables.get(table_name)
-        if state is None:
-            return 0
-        if not state.checked:
-            state.index()
-        return state.count
+        return state.count if state is not None else 0
 
     def upsert_dimension(self, table_name: str, row: Mapping) -> int:
         """Insert or find by natural key; first write wins, keys stay dense."""
@@ -434,8 +411,6 @@ class Store:
                     raise DanglingKeyError(
                         f"{table_name}.{name}={value} does not resolve in {ref!r}"
                     )
-        if not state.checked:  # the manifest this batch's flush writes holds only checked counts
-            state.index()
         state.append(b"".join(lines), len(lines))
         self._tables[table_name] = state
         return len(rows)
@@ -497,9 +472,9 @@ class Snapshot:
         return self._rows[table_name]
 
     def row_count(self, table_name: str) -> int:
-        """The table's row count, confirmed by a read of its bytes; 0 for a table never written."""
+        """The table's row count; 0 for a table never written."""
         state = self._states.get(table_name)
-        return state.confirmed_count() if state is not None else 0
+        return state.count if state is not None else 0
 
     def columns(self, table_name: str, names: Sequence[str]) -> list[Sequence]:
         """The named columns of a table, in row order, each cell decoded and an

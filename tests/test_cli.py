@@ -131,6 +131,21 @@ class TestIngest:
         assert len(ledger) == 2  # header + one reject
         assert "type-error" in ledger[1]
 
+    @pytest.mark.parametrize("name", ["", "x" * 140_000], ids=["empty", "over-the-csv-field-limit"])
+    def test_text_constant_the_store_refuses_exit_one_with_ledger(self, tmp_path, name):
+        crops = _write(tmp_path / "crops.csv", "crop_id\nC1\n")
+        crop_map = _write(tmp_path / "crop.mapping.json", json.dumps({
+            "target_table": "Crop",
+            "bindings": [
+                {"source": "crop_id", "target": "CropID"},
+                {"source": "", "target": "CropName", "transforms": [{"op": "constant", "value": name}]},
+            ],
+        }))
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map]) == 1
+        ledger = (store / "reject_ledger.csv").read_text().splitlines()
+        assert ledger[1:] == [f"{crops},1,CropName,type-error,C1"]
+
     def test_header_cell_over_the_csv_field_limit_exit_two_names_the_source(self, tmp_path, capsys):
         crops, _, crop_map, _ = _fixture_sources(tmp_path, [])
         _write(Path(crops), "crop_id,crop_name" + "x" * 140_000 + "\nC1,Grass\n")
@@ -325,8 +340,8 @@ class TestStoreVerify:
         text = json.dumps(manifest)
         (store / "manifest.json").write_text(text)
         capsys.readouterr()
-        assert main(["store", "verify", "--store", str(store)]) == 0
-        assert capsys.readouterr().out.splitlines()[0].startswith("manifest version 1 (verified;")
+        assert main(["store", "verify", "--store", str(store)]) == 2
+        assert "unsupported manifest version 1" in capsys.readouterr().err
         assert (store / "manifest.json").read_text() == text
 
     def test_missing_store_exit_two_creates_nothing(self, tmp_path, capsys):

@@ -628,6 +628,46 @@ class TestRunPipeline:
         assert report.tables["FieldFact"].rows_accepted == 1
         assert [r["HerbicideQty"] for r in open_store(store_dir, catalog).snapshot().rows("FieldFact")] == [2500.0]
 
+    def test_record_json_text_over_the_csv_field_limit_is_one_type_error(self, tmp_path, catalog, store_dir):
+        long_id = "C" * 140_000
+        crops = _write(tmp_path, "crops.jsonl", "".join(
+            json.dumps({"crop_id": crop_id, "crop_name": "Grass"}) + "\n" for crop_id in (long_id, "C2")
+        ))
+        store = open_store(store_dir, catalog)
+        report = run_pipeline([(SourceDescriptor(path=crops, format="record-json"), mapping_from_dict(CROP_MAPPING))],
+                              catalog, store)
+        assert [(r.row, r.binding, r.reason) for r in report.rejects] == [(1, "CropID", "type-error")]
+        assert [r["CropID"] for r in open_store(store_dir, catalog).snapshot().rows("Crop")] == ["C2"]
+        ledger = write_reject_ledger(report.rejects, tmp_path / "rejects.csv")
+        with open(ledger, newline="", encoding="utf-8") as handle:
+            assert len(list(csv.reader(handle))) == 2  # header + one reject
+
+    def _site_then_field(self, tmp_path, catalog, store_dir, field_rows):
+        sites = _write(tmp_path, "sites.csv", "site_id,site_name\nS1,North\nS2,South\n")
+        fields = _write(tmp_path, "fields.csv", "field_id,field_name,site_id\n" + "".join(field_rows))
+        site_mapping = {"target_table": "Site", "bindings": [
+            {"source": "site_id", "target": "SiteID"}, {"source": "site_name", "target": "SiteName"},
+        ]}
+        field_mapping = {"target_table": "Field", "bindings": [
+            {"source": "field_id", "target": "FieldID"}, {"source": "field_name", "target": "FieldName"},
+            {"source": "site_id", "target": "SiteID"},
+        ]}
+        store = open_store(store_dir, catalog)
+        return store, run_pipeline([
+            (SourceDescriptor(path=sites), mapping_from_dict(site_mapping)),
+            (SourceDescriptor(path=fields), mapping_from_dict(field_mapping)),
+        ], catalog, store)
+
+    def test_dimension_foreign_key_stores_the_referenced_sk(self, tmp_path, catalog, store_dir):
+        store, report = self._site_then_field(tmp_path, catalog, store_dir, ["F1,Top,S2\n", "F2,Low,S1\n"])
+        assert report.rejects == []
+        assert [(r["FieldID"], r["SiteID"]) for r in store.snapshot().rows("Field")] == [("F1", 2), ("F2", 1)]
+
+    def test_unknown_dimension_foreign_key_is_missing_required(self, tmp_path, catalog, store_dir):
+        store, report = self._site_then_field(tmp_path, catalog, store_dir, ["F1,Top,S9\n", "F2,Low,S1\n"])
+        assert [(r.row, r.binding, r.reason) for r in report.rejects] == [(1, "SiteID", "missing-required")]
+        assert [(r["FieldID"], r["SiteID"]) for r in store.snapshot().rows("Field")] == [("F2", 1)]
+
     def test_reject_ledger_columns(self, tmp_path):
         rejects = [RejectRecord(source="s.csv", row=3, binding="PH", reason="range-error", raw="S1,12")]
         path = tmp_path / "ledger.csv"

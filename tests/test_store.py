@@ -33,7 +33,6 @@ from agridw.store import (
     star_query,
 )
 from agridw.etl import run_pipeline
-from agridw.util import fnv1a64
 
 CATALOG = builtin_catalog()
 
@@ -89,15 +88,6 @@ def _small_store(store_dir):
     return store
 
 
-def _rewrite_as_v1(store_dir) -> None:
-    """Turn a store into one as a version-1 writer left it: FNV-1a digests."""
-    manifest = _manifest(store_dir)
-    manifest["version"] = 1
-    for name, data in _data_files(store_dir).items():
-        manifest["tables"][name]["digest"] = format(fnv1a64(data), "016x")
-    (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 class TestFormat:
     def test_digests_are_blake2b64_of_the_file_bytes(self, store_dir):
         store = _small_store(store_dir)
@@ -109,12 +99,8 @@ class TestFormat:
             assert manifest["tables"][name]["digest"] == _blake2b64_hex(data)
             assert store.table_digest(name) == _blake2b64_hex(data)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_flipped_byte_fails_reopen(self, store_dir, version):
+    def test_flipped_byte_fails_reopen(self, store_dir):
         _small_store(store_dir)
-        if version == 1:
-            _rewrite_as_v1(store_dir)
-        assert _manifest(store_dir)["version"] == version
         for name, data in _data_files(store_dir).items():
             path = Path(store_dir) / name / "data.csv"
             for offset in (0, len(data) // 2, len(data) - 2):
@@ -151,32 +137,14 @@ class TestFormat:
         with pytest.raises(StoreError, match="FieldFact"):
             open_store(store_dir, CATALOG)
 
-    def test_unknown_manifest_version_is_refused(self, store_dir):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_manifest_version_is_refused(self, store_dir, version):
         _small_store(store_dir)
         manifest = _manifest(store_dir)
-        manifest["version"] = 3
+        manifest["version"] = version
         (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="version"):
+        with pytest.raises(StoreError, match=f"unsupported manifest version {version}"):
             open_store(store_dir, CATALOG)
-
-    def test_v1_store_opens_and_upgrades_on_next_flush(self, store_dir):
-        rows = _small_store(store_dir).snapshot().tables
-        _rewrite_as_v1(store_dir)
-        v1 = open_store(store_dir, CATALOG)
-        assert v1.manifest_version == 1
-        assert v1.snapshot().tables == rows
-        assert v1.resolve_dimension("Crop", "C2") == 2
-        assert _manifest(store_dir)["version"] == 1  # opening does not rewrite
-
-        v1.insert_facts("FieldFact", [{"CropKey": 1, "YieldValue": 9.0}])
-        v1.flush()
-        manifest = _manifest(store_dir)
-        assert manifest["version"] == 2
-        files = _data_files(store_dir)
-        for name, data in files.items():
-            assert manifest["tables"][name]["digest"] == _blake2b64_hex(data)
-        assert manifest["tables"]["FieldFact"]["rows"] == 3
-        assert open_store(store_dir, CATALOG).table_digest("Crop") == _blake2b64_hex(files["Crop"])
 
     def test_snapshot_from_tables_digests_match_the_store(self, store_dir):
         snapshot = _small_store(store_dir).snapshot()
@@ -655,6 +623,20 @@ class TestLazyReopen:
         with pytest.raises(StoreError, match=f"{table}.*row count"):
             open_store(store_dir, CATALOG).snapshot().columns(table, [CATALOG.table(table).attributes[0].name])
 
+    @pytest.mark.parametrize("table", ["Crop", "Field"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_open_refuses_a_text_table_whose_row_count_disagrees_with_the_file(self, store_dir, table, delta):
+        store = _small_store(store_dir)  # a Crop row holds a quoted ScienName
+        store.upsert_dimension("Field", {"FieldID": "F1", "FieldName": "North", "Area": 2.5})
+        store.upsert_dimension("Field", {"FieldID": "F2", "FieldName": "South"})
+        store.flush()
+        assert (b'"' in _data_files(store_dir)[table]) == (table == "Crop")
+        manifest = _manifest(store_dir)
+        manifest["tables"][table]["rows"] += delta
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"{table}.*row count"):
+            open_store(store_dir, CATALOG)
+
     @pytest.mark.parametrize("table, q", [
         ("Crop", QuerySpec("FieldFact", joins=(DimensionJoin("Crop"),))),
         ("F", QuerySpec("F")),
@@ -669,7 +651,7 @@ class TestLazyReopen:
         else:
             _small_store(store_dir)
         manifest = _manifest(store_dir)
-        manifest["tables"][table]["rows"] += 1  # a table with text: open checks no count
+        manifest["tables"][table]["rows"] += 1  # a table with text: open checks its count too
         (Path(store_dir) / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match=f"{table}.*row count"):
             star_query(open_store(store_dir, catalog).snapshot(), q)
@@ -756,7 +738,7 @@ _UNQUOTED_BODY = st.text(alphabet=st.sampled_from(",\n\x00\x0c\x1c\x85\u2028ab")
 @example(body="", maxsplit=2)
 def test_unquoted_records_equal_the_stdlib_reader(body, maxsplit):
     state = store_module._TableState(CATALOG.table("Crop"))
-    state.load(state.header + body.encode("utf-8"), 0)
+    state.load(state.header + body.encode("utf-8"), len(io.StringIO(body, newline="\n").readlines()))  # "\n" ends a line
     try:
         want = list(csv.reader(io.StringIO(body)))
     except csv.Error:
@@ -821,20 +803,6 @@ class TestFlush:
         after = path.read_bytes(), path.stat()
         assert after[0] == before[0]
         assert (after[1].st_mtime_ns, after[1].st_ino) == (before[1].st_mtime_ns, before[1].st_ino)
-
-    def test_v1_store_flushed_with_nothing_pending_is_rewritten_as_v2(self, store_dir):
-        _small_store(store_dir)
-        _rewrite_as_v1(store_dir)
-        files = _data_files(store_dir)
-        store = open_store(store_dir, CATALOG)
-        store.flush()
-        assert store.manifest_version == 2
-        manifest = _manifest(store_dir)
-        assert manifest["version"] == 2
-        assert {name: entry["digest"] for name, entry in manifest["tables"].items()} == {
-            name: _blake2b64_hex(data) for name, data in files.items()
-        }
-        assert _data_files(store_dir) == files
 
     def test_append_of_a_deduplicating_delta_writes_the_manifest_once(self, tmp_path, store_dir, manifest_writes):
         crops = tuple(
