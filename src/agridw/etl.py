@@ -572,7 +572,7 @@ class CompiledMapping:
                             raise _BindingFailure(REASON_RANGE)
                     if not isfinite(value):  # e.g. a unit conversion that overflowed
                         raise _BindingFailure(REASON_TYPE)
-                elif not isinstance(value, str) or attr.kind != "foreign-key" and not 0 < len(value) <= limit:
+                elif not isinstance(value, str) or (attr.kind != "foreign-key" and not 0 < len(value) <= limit):
                     raise _BindingFailure(REASON_TYPE)
             except _BindingFailure as failure:
                 return _reject(row, attr.name, failure.reason)
