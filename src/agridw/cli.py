@@ -15,7 +15,7 @@ from pathlib import Path
 from . import analytics, report, synth
 from .catalog import builtin_catalog, catalog_digest, load_catalog, validate_catalog
 from .errors import AgriDwError, ConfigError, StoreError
-from .etl import SourceDescriptor, load_mapping, run_pipeline, write_reject_ledger
+from .etl import FORMAT_DELIMITED, FORMAT_RECORD_JSON, SourceDescriptor, load_mapping, run_pipeline, write_reject_ledger
 from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, open_store
 
 
@@ -73,7 +73,8 @@ def _cmd_ingest(args) -> int:
     store = open_store(args.store, catalog)
     pairs = []
     for src_path, map_path in zip(args.source, args.mapping):
-        pairs.append((SourceDescriptor(path=src_path), load_mapping(map_path)))
+        fmt = FORMAT_RECORD_JSON if Path(src_path).suffix == ".jsonl" else FORMAT_DELIMITED
+        pairs.append((SourceDescriptor(path=src_path, format=fmt), load_mapping(map_path)))
     load_report = run_pipeline(pairs, catalog, store)
     ledger_path = Path(args.rejects) if args.rejects else Path(args.store) / "reject_ledger.csv"
     write_reject_ledger(load_report.rejects, ledger_path)
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="load sources into a store")
     p_ingest.add_argument("--store", required=True, help="store directory")
     p_ingest.add_argument("--catalog", help="catalog JSON path (default: builtin)")
-    p_ingest.add_argument("--source", action="append", default=[], help="source file (repeatable)")
+    p_ingest.add_argument("--source", action="append", default=[], help="source file, record JSON if *.jsonl (repeatable)")
     p_ingest.add_argument("--mapping", action="append", default=[], help="mapping spec file (repeatable)")
     p_ingest.add_argument("--rejects", help="reject ledger path (default: <store>/reject_ledger.csv)")
     p_ingest.set_defaults(func=_cmd_ingest)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .catalog import Catalog, TableDef
 from .errors import ConfigError, MappingError, UnitConversionError
-from .util import atomic_write_text, csv_line
+from .util import atomic_write_text, csv_line, csv_records
 
 if TYPE_CHECKING:
     from .store import Store
@@ -167,78 +167,31 @@ class LoadReport:
 
 # --- reading sources ------------------------------------------------------
 
-class _LineTap:
-    """Iterator wrapper that remembers the lines the csv reader consumed."""
-
-    def __init__(self, lines: Iterator[str]):
-        self._lines = lines
-        self.consumed: list[str] = []
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        line = next(self._lines)
-        self.consumed.append(line)
-        return line
-
-    def take_raw(self) -> str:
-        raw = "".join(self.consumed).rstrip("\r\n")
-        self.consumed.clear()
-        return raw
-
-
-def _csv_records(reader: Iterator[list[str]], tap: _LineTap) -> Iterator[list[str] | None]:
-    """Each record of ``reader``, or None for one it refused (a cell longer
-    than ``csv.field_size_limit()``). A refused record ends where RFC 4180
-    ends it: at the first line end after an even count of ``"`` in its
-    lines, which are taken from ``tap``, so none of them is read as a record."""
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error:
-            quotes = sum(line.count('"') for line in tap.consumed)
-            while quotes % 2:
-                line = next(tap, None)
-                if line is None:
-                    break
-                quotes += line.count('"')
-            yield None
-
-
 def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
     with open(src.path, "r", encoding="utf-8-sig", newline="") as handle:
-        tap = _LineTap(iter(handle))
-        reader = csv.reader(tap, delimiter=src.delimiter)
-        header: list[str] | None = None
-        if src.has_header:
-            try:
-                header = next(reader)
-            except StopIteration:
-                return
-            except csv.Error as exc:  # a header cell longer than csv.field_size_limit()
-                raise ConfigError(f"source {src.path}: unreadable header: {exc}") from exc
-            tap.take_raw()
-        number = 0
-        for record in _csv_records(reader, tap):
-            raw = tap.take_raw()
-            if record == []:  # blank line
-                continue
-            number += 1
-            if record is None or header is not None and len(record) != len(header):
-                yield RejectRecord(
-                    source=src.path,
-                    row=number,
-                    binding=STRUCTURAL_BINDING,
-                    reason=REASON_TYPE,
-                    raw=raw,
-                )
-                continue
-            names = header if header is not None else [f"col{i + 1}" for i in range(len(record))]
-            fields = {name: value for name, value in zip(names, record) if value != ""}
-            yield RawRow(source=src.path, number=number, fields=fields, raw=raw)
+        records = csv_records(handle.read(), src.delimiter)
+    header: list[str] | None = None
+    if src.has_header:
+        header, _ = next(records, ([], ""))
+        if header is None:
+            raise ConfigError(f"source {src.path}: unreadable header: a cell longer than csv.field_size_limit()")
+    number = 0
+    for record, raw in records:
+        if record == []:  # blank line
+            continue
+        number += 1
+        if record is None or header is not None and len(record) != len(header):
+            yield RejectRecord(
+                source=src.path,
+                row=number,
+                binding=STRUCTURAL_BINDING,
+                reason=REASON_TYPE,
+                raw=raw,
+            )
+            continue
+        names = header if header is not None else [f"col{i + 1}" for i in range(len(record))]
+        fields = {name: value for name, value in zip(names, record) if value != ""}
+        yield RawRow(source=src.path, number=number, fields=fields, raw=raw)
 
 
 def _json_scalar_text(value) -> str | None:
@@ -318,8 +271,9 @@ def load_synonym_table(path: str | Path) -> dict[str, str]:
 
     Every canonical form is also registered as its own variant.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    rows = [cells for cells, _ in csv_records(Path(path).read_text(encoding="utf-8-sig")) if cells != []]
+    if None in rows:
+        raise ConfigError(f"synonym table {path}: a cell longer than csv.field_size_limit()")
     if rows and [c.lower() for c in rows[0][:2]] == ["variant", "canonical"]:
         rows = rows[1:]
     table: dict[str, str] = {}

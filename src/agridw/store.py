@@ -6,14 +6,15 @@ top-level ``manifest.json`` recording the format version, the catalog digest
 and per-table row counts and digests. Version 2 digests are BLAKE2b with an
 8-byte digest over the exact ``data.csv`` bytes, maintained incrementally
 because tables are append-only; no other version is read. Opening a store
-checks each table's digest, header and row count, and parses no cell.
+checks each table's digest, header and row count, and parses no cell. Every
+read frames records with ``util.csv_records``, the reader ETL uses for its
+sources.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -21,7 +22,6 @@ import sys
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
-from itertools import repeat
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
@@ -37,7 +37,7 @@ from .errors import (
     StoreTypeError,
     UnknownAttributeError,
 )
-from .util import atomic_write_text, canonical_json, csv_field, csv_line, fnv1a64, format_decimal
+from .util import atomic_write_text, canonical_json, csv_field, csv_line, csv_records, fnv1a64, format_decimal
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
@@ -63,7 +63,8 @@ class _TableState:
     """One table held as its ``data.csv`` bytes: ``chunks`` is the header, or
     the verified file read at open, then each line or batch this process
     appended; the first ``written`` of them are on disk. Every read parses
-    them, so a live table reads exactly as its reopen does.
+    them with ``csv_records``, so a live table reads exactly as its reopen
+    does, and a record that reader refuses fails every read of the table.
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
     ``sk`` first for dimensions; ``encode`` (writes), ``index``, ``columns``
@@ -72,7 +73,7 @@ class _TableState:
     """
 
     __slots__ = (
-        "table", "plan", "names", "key_plan", "header", "_is_dim", "digest_state",
+        "table", "plan", "names", "key_plan", "foreign_keys", "header", "_is_dim", "digest_state",
         "chunks", "written", "count", "by_natural", "by_leading",
     )
 
@@ -86,6 +87,7 @@ class _TableState:
         self.names = frozenset(columns)
         where = {name: (i, name, decode) for i, (name, _, decode) in enumerate(self.plan)}
         self.key_plan = [where[part] for part in table.natural_key]  # (position, column, decoder)
+        self.foreign_keys = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
         self.header = csv_line(columns).encode("utf-8")
         self.digest_state = _blake2b64(self.header)
         self.chunks: list[bytes] = [self.header]
@@ -97,8 +99,8 @@ class _TableState:
 
     def load(self, data: bytes, rows: object) -> None:
         """Hold the file bytes unparsed and hash them. Checks the header, the
-        row count, counted as ``_records`` frames the records, and for a table
-        of keys and numbers alone every byte."""
+        row count, counted as ``csv_records`` frames the records (a refused
+        one counts once), and for a table of keys and numbers alone every byte."""
         self.digest_state = _blake2b64(data)
         self.chunks = [data]
         self.written = 1
@@ -113,38 +115,28 @@ class _TableState:
             found = data.count(b"\n", start) + (not data.endswith(b"\n"))
         else:
             with self._readable():
-                found = sum(1 for _ in self._records())
+                found = sum(1 for _ in csv_records(str(memoryview(data)[start:], "utf-8")))
         if type(rows) is not int or rows != found:
             raise StoreError(f"table {name!r} row count mismatch")
         self.count = rows
 
     @contextmanager
     def _readable(self) -> Iterator[None]:
-        """Bytes that do not decode, a record short of a wanted cell or a cell
-        its decoder refuses is a StoreError naming the table."""
+        """Undecodable bytes, a refused or short record or a cell its decoder
+        refuses is a StoreError naming the table."""
         try:
             yield
-        except (ValueError, IndexError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        except (ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
             raise StoreError(f"table {self.table.name!r}: unreadable data file: {exc}") from exc
 
-    def _records(self, maxsplit: int = -1) -> Iterator[list[str]]:
-        """The table's records as ``csv.reader`` reads them, one at a time.
-        With ``maxsplit`` a record may end in one cell holding the rest of its
-        line, so only its first ``maxsplit`` cells are exact. Iterate inside
-        ``_readable``."""
+    def _records(self, maxsplit: int = -1) -> list[list[str]]:
+        """The table's records as ``csv_records`` reads them, cut at
+        ``maxsplit``; a refused record is a ValueError. Call inside ``_readable``."""
         data = b"".join(self.chunks)  # the file read at open itself, when nothing was appended
         text = str(memoryview(data)[len(self.header):], "utf-8")  # decoded without copying the bytes
-        if '"' in text or "\r" in text:  # only csv.reader reads quoted cells
-            return csv.reader(io.StringIO(text))
-        # No cell is quoted: each "\n" ends a record and each "," ends a cell.
-        # Not splitlines, which also breaks at "\x0c", "\x85", "\u2028" and
-        # other characters a cell may hold.
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        records = map(str.split, lines, repeat(","), repeat(maxsplit))
-        if "" in lines:  # csv.reader reads a blank line as a record of no cells
-            return (record if line else [] for line, record in zip(lines, records))
+        records = list(map(itemgetter(0), csv_records(text, ",", maxsplit)))
+        if None in records:
+            raise ValueError("a cell longer than csv.field_size_limit()")
         return records
 
     def index(self) -> None:
@@ -182,7 +174,7 @@ class _TableState:
                 raise UnknownAttributeError(f"{self.table.name}.{name} does not exist")
         wanted = [where[name] for name in names]
         with self._readable():
-            records = list(self._records(max((i for i, _ in wanted), default=-1) + 1))
+            records = self._records(max((i for i, _ in wanted), default=-1) + 1)
             if len(self.plan) == 1:  # a one-column row with no value is a blank line
                 records = [record or [""] for record in records]
             columns = []
@@ -358,8 +350,19 @@ class Store:
         state = self._tables.get(table_name)
         return state.count if state is not None else 0
 
+    def _check_foreign_keys(self, state: _TableState, rows: Sequence[Mapping]) -> None:
+        """DanglingKeyError for a foreign key outside ``1..row_count`` of the
+        table it references; ``encode`` has checked each key is an int."""
+        for name, ref in state.foreign_keys:
+            limit = self.row_count(ref)
+            for row in rows:
+                value = row.get(name)
+                if value is not None and not 1 <= value <= limit:
+                    raise DanglingKeyError(f"{state.table.name}.{name}={value} does not resolve in {ref!r}")
+
     def upsert_dimension(self, table_name: str, row: Mapping) -> int:
-        """Insert or find by natural key; first write wins, keys stay dense."""
+        """Insert or find by natural key; first write wins, keys stay dense.
+        A foreign key must resolve, as in ``insert_facts``."""
         table = self.catalog.table(table_name)
         if table is None or table.role != "dimension":
             raise StoreError(f"{table_name!r} is not a dimension table")
@@ -369,6 +372,7 @@ class Store:
         state.index()
         sk = state.count + 1
         line, cells = state.encode({SK_COLUMN: sk, **row})
+        self._check_foreign_keys(state, [row])
         natural = []
         for i, part, decode in state.key_plan:  # as ``index`` reads the key back
             if not cells[i]:
@@ -399,18 +403,7 @@ class Store:
             raise StoreError(f"{table_name!r} is not a fact table")
         state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
         lines = [state.encode(row)[0] for row in rows]
-        fk_limits = [
-            (a.name, a.references, self.row_count(a.references))
-            for a in table.attributes
-            if a.kind == "foreign-key"
-        ]
-        for row in rows:  # encode has checked each key is an int
-            for name, ref, limit in fk_limits:
-                value = row.get(name)
-                if value is not None and not 1 <= value <= limit:
-                    raise DanglingKeyError(
-                        f"{table_name}.{name}={value} does not resolve in {ref!r}"
-                    )
+        self._check_foreign_keys(state, rows)
         state.append(b"".join(lines), len(lines))
         self._tables[table_name] = state
         return len(rows)

@@ -1,12 +1,16 @@
-"""Low-level helpers: FNV-1a hashing, canonical JSON, decimal text, atomic writes."""
+"""Low-level helpers: FNV-1a hashing, canonical JSON, decimal text, RFC 4180
+records, atomic writes."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -57,6 +61,52 @@ def csv_field(value: str, delimiter: str = ",") -> str:
 
 def csv_line(values: Iterable[str], delimiter: str = ",") -> str:
     return delimiter.join(csv_field(v, delimiter) for v in values) + "\n"
+
+
+def csv_records(text: str, delimiter: str = ",", maxsplit: int = -1) -> Iterator[tuple[list[str] | None, str]]:
+    """Each record of ``text`` as ``csv.reader`` reads it, with its raw text
+    less the line ends it closes with; a blank line is a record of no cells.
+
+    A record ``csv.reader`` refuses (a cell longer than
+    ``csv.field_size_limit()``) has None for cells and ends where RFC 4180
+    ends it: at the first line end after an even count of ``"`` in its
+    lines, or at the end of the text, so none of its lines is read as a
+    record. With ``maxsplit`` a record may end in one cell holding the rest
+    of its line, so only its first ``maxsplit`` cells are exact.
+    """
+    if '"' not in text and "\r" not in text:
+        # No cell is quoted: each "\n" ends a record and each delimiter a
+        # cell. Not splitlines, which also breaks at "\x0c", "\x85",
+        # "\u2028" and other characters a cell may hold.
+        lines = text.removesuffix("\n").split("\n") if text else []
+        # a line no longer than the limit holds no cell csv.reader refuses
+        if max(map(len, lines), default=0) <= csv.field_size_limit():
+            records = map(str.split, lines, repeat(delimiter), repeat(maxsplit))
+            if "" in lines:
+                records = ([] if not line else record for line, record in zip(lines, records))
+            return zip(records, lines)
+    return _read_records(text, delimiter)
+
+
+def _read_records(text: str, delimiter: str) -> Iterator[tuple[list[str] | None, str]]:
+    lines = io.StringIO(text, newline="").readlines()  # split at "\r\n", "\r" and "\n" alone
+    feed = iter(lines)
+    reader = csv.reader(feed, delimiter=delimiter)
+    start = skipped = 0  # ``start``: the index of the next record's first line
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            record = None
+            quotes = sum(line.count('"') for line in lines[start:reader.line_num + skipped])
+            while quotes % 2 and (line := next(feed, None)) is not None:
+                quotes += line.count('"')
+                skipped += 1
+        end = reader.line_num + skipped
+        yield record, "".join(lines[start:end]).rstrip("\r\n")
+        start = end
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> Path:

@@ -146,6 +146,16 @@ class TestIngest:
         ledger = (store / "reject_ledger.csv").read_text().splitlines()
         assert ledger[1:] == [f"{crops},1,CropName,type-error,C1"]
 
+    def test_jsonl_source_is_read_as_record_json(self, tmp_path, capsys):
+        _, _, crop_map, _ = _fixture_sources(tmp_path, [])
+        crops = _write(tmp_path / "crops.jsonl", '{"crop_id": "C1", "crop_name": "Grass"}\n{"crop_id": "C2", "crop_name": "Wheat W."}\n')
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map]) == 0
+        assert "total: 2 read, 2 accepted, 0 rejected" in capsys.readouterr().err
+        assert open_store(store, builtin_catalog()).snapshot().columns("Crop", ["CropID", "CropName"]) == [
+            ("C1", "C2"), ("Grass", "Winter Wheat"),
+        ]
+
     def test_header_cell_over_the_csv_field_limit_exit_two_names_the_source(self, tmp_path, capsys):
         crops, _, crop_map, _ = _fixture_sources(tmp_path, [])
         _write(Path(crops), "crop_id,crop_name" + "x" * 140_000 + "\nC1,Grass\n")

@@ -33,6 +33,7 @@ from agridw.store import (
     star_query,
 )
 from agridw.etl import run_pipeline
+from agridw.util import csv_records
 
 CATALOG = builtin_catalog()
 
@@ -737,17 +738,9 @@ _UNQUOTED_BODY = st.text(alphabet=st.sampled_from(",\n\x00\x0c\x1c\x85\u2028ab")
 @example(body="\n", maxsplit=0)
 @example(body="", maxsplit=2)
 def test_unquoted_records_equal_the_stdlib_reader(body, maxsplit):
-    state = store_module._TableState(CATALOG.table("Crop"))
-    state.load(state.header + body.encode("utf-8"), len(io.StringIO(body, newline="\n").readlines()))  # "\n" ends a line
-    try:
-        want = list(csv.reader(io.StringIO(body)))
-    except csv.Error:
-        with pytest.raises(StoreError, match="Crop"), state._readable():
-            list(state._records())
-        return
-    with state._readable():
-        assert list(state._records()) == want
-        cut = list(state._records(maxsplit))
+    want = list(csv.reader(io.StringIO(body)))  # "\n" ends a line
+    assert [cells for cells, _ in csv_records(body)] == want
+    cut = [cells for cells, _ in csv_records(body, ",", maxsplit)]
     assert len(cut) == len(want)
     for got, record in zip(cut, want):
         assert got[:maxsplit] == record[:maxsplit]
@@ -911,6 +904,25 @@ class TestFieldSizeLimit:
         assert _data_files(store_dir) == files
         _same_snapshot(store.snapshot(), live)
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+    def test_forged_cell_past_the_limit_fails_every_read_of_its_table(self, store_dir, quoted):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", {**_crop("C1", "Grass"), **({"ScienName": 'Poa "annua"'} if quoted else {})})
+        store.upsert_dimension("Crop", _crop("C2", "Rye"))
+        store.flush()
+        assert (b'"' in _data_files(store_dir)["Crop"]) == quoted
+        _forge(store_dir, "Crop", b",Rye,", b"," + b"x" * (self.LIMIT + 1) + b",")
+        store = open_store(store_dir, CATALOG)  # counts the refused record as one
+        snapshot = store.snapshot()
+        for read in (
+            lambda: snapshot.rows("Crop"),
+            lambda: snapshot.columns("Crop", ["CropID"]),
+            lambda: store.upsert_dimension("Crop", _crop("C3", "Oats")),
+        ):
+            with pytest.raises(StoreError, match=r"'Crop'.*a cell longer than csv\.field_size_limit\(\)"):
+                read()
+        assert snapshot.columns("FieldFact", ["CropKey"]) == [()]
+
     def test_long_cell_after_unquoted_rows_is_refused(self, store_dir):
         store = open_store(store_dir, CATALOG)
         store.upsert_dimension("Crop", _crop("C1", "Grass"))
@@ -921,6 +933,31 @@ class TestFieldSizeLimit:
         store.flush()
         assert store.snapshot().rows("Crop") == ({"sk": 1, **_crop("C1", "Grass")},)
         _same_snapshot(open_store(store_dir, CATALOG).snapshot(), store.snapshot())
+
+
+class TestDimensionForeignKeys:
+    """A dimension's foreign key must resolve, as a fact's must."""
+
+    def _field(self, field_id, site_sk):
+        return {"FieldID": field_id, "FieldName": "x", "SiteID": site_sk}
+
+    def test_dangling_key_is_refused_and_nothing_is_stored(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        with pytest.raises(DanglingKeyError, match=r"Field\.SiteID=99 does not resolve in 'Site'"):
+            store.upsert_dimension("Field", self._field("F1", 99))
+        assert store.row_count("Field") == 0
+        store.flush()
+        assert open_store(store_dir, CATALOG).snapshot().tables == {}
+
+    def test_key_resolves_after_the_referenced_upsert(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        assert store.upsert_dimension("Site", {"SiteID": "S1", "SiteName": "North"}) == 1
+        assert store.upsert_dimension("Field", self._field("F1", 1)) == 1
+        with pytest.raises(DanglingKeyError, match=r"Field\.SiteID=2 "):
+            store.upsert_dimension("Field", self._field("F2", 2))
+        assert store.upsert_dimension("Field", self._field("F2", 1)) == 2  # the refused row left no key behind
+        store.flush()
+        assert open_store(store_dir, CATALOG).snapshot().columns("Field", ["FieldID", "SiteID"]) == [("F1", "F2"), (1, 1)]
 
 
 # --- projecting snapshots ---------------------------------------------------
