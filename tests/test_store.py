@@ -921,7 +921,6 @@ class TestFieldSizeLimit:
         ):
             with pytest.raises(StoreError, match=r"'Crop'.*a cell longer than csv\.field_size_limit\(\)"):
                 read()
-        assert snapshot.columns("FieldFact", ["CropKey"]) == [()]
 
     def test_long_cell_after_unquoted_rows_is_refused(self, store_dir):
         store = open_store(store_dir, CATALOG)
