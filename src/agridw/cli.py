@@ -130,12 +130,13 @@ def _cmd_store_verify(args) -> int:
     if not (path / MANIFEST_NAME).is_file():
         raise StoreError(f"no store manifest in {path}")
     store = open_store(path, catalog)
-    snapshot = store.snapshot()  # open checks digests, headers and row counts; rows() below decodes every cell
+    snapshot = store.snapshot()  # open checks digests, headers and row counts; columns() below decodes every cell
     print(f"manifest version {MANIFEST_VERSION}")
     names = sorted(snapshot.table_digests)
     for name in names:
+        snapshot.columns(name, snapshot.column_names(name))
         size = (path / name / DATA_NAME).stat().st_size
-        print(f"{name}: {len(snapshot.rows(name))} rows, {size} bytes, digest {snapshot.table_digests[name]}")
+        print(f"{name}: {snapshot.row_count(name)} rows, {size} bytes, digest {snapshot.table_digests[name]}")
     print(f"store ok: {len(names)} tables verified")
     return 0
 

@@ -271,7 +271,8 @@ def load_synonym_table(path: str | Path) -> dict[str, str]:
 
     Every canonical form is also registered as its own variant.
     """
-    rows = [cells for cells, _ in csv_records(Path(path).read_text(encoding="utf-8-sig")) if cells != []]
+    with open(path, encoding="utf-8-sig", newline="") as handle:  # a quoted "\r\n" stays in its cell
+        rows = [cells for cells, _ in csv_records(handle.read()) if cells != []]
     if None in rows:
         raise ConfigError(f"synonym table {path}: a cell longer than csv.field_size_limit()")
     if rows and [c.lower() for c in rows[0][:2]] == ["variant", "canonical"]:

@@ -7,8 +7,9 @@ and per-table row counts and digests. Version 2 digests are BLAKE2b with an
 8-byte digest over the exact ``data.csv`` bytes, maintained incrementally
 because tables are append-only; no other version is read. Opening a store
 checks each table's digest, header and row count, and parses no cell. Every
-read frames records with ``util.csv_records``, the reader ETL uses for its
-sources.
+read decodes columns through ``_TableState.columns``, which frames records
+with ``util.csv_records``, the reader ETL uses for its sources; a row is a
+view over the columns.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class _TableState:
     does, and a record that reader refuses fails every read of the table.
 
     ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
-    ``sk`` first for dimensions; ``encode`` (writes), ``index``, ``columns``
-    and ``rows`` (reads) all follow it. ``count`` is the table's row count,
+    ``sk`` first for dimensions; ``encode`` (writes) and ``columns`` (every
+    read, ``index`` too) follow it. ``count`` is the table's row count,
     checked against the bytes at open.
     """
 
@@ -153,30 +154,23 @@ class _TableState:
         self.by_natural = dict(zip(reversed(list(zip(*columns))), sks))
         self.by_leading = dict(zip(reversed(columns[0]), sks)) if columns else {}
 
-    def rows(self) -> tuple[dict, ...]:
-        """Every row, each cell decoded; absent values are omitted. Checks the
-        width of every record."""
-        decoders = [(name, decode) for name, _, decode in self.plan]
-        width = len(decoders)
-        rows = []
-        with self._readable():
-            for record in self._records():
-                if len(record) != width and (record or width != 1):  # a one-column row with no value is a blank line
-                    raise ValueError(f"a record of {len(record)} cells, expected {width}")
-                rows.append({name: decode(text) for (name, decode), text in zip(decoders, record) if text})
-        return tuple(rows)
-
     def columns(self, names: Sequence[str]) -> list[list]:
-        """The named columns alone, each cell decoded and an absent one None."""
+        """The named columns alone, each cell decoded and an absent one None.
+        A read that reaches the last column checks the width of every record."""
         where = {name: (i, decode) for i, (name, _, decode) in enumerate(self.plan)}
         for name in names:
             if name not in where:
                 raise UnknownAttributeError(f"{self.table.name}.{name} does not exist")
         wanted = [where[name] for name in names]
+        width = len(self.plan)
+        cut = max((i for i, _ in wanted), default=-1) + 1
         with self._readable():
-            records = self._records(max((i for i, _ in wanted), default=-1) + 1)
-            if len(self.plan) == 1:  # a one-column row with no value is a blank line
+            records = self._records(cut if cut < width else -1)  # uncut, so each record's width is exact
+            if width == 1:  # a one-column row with no value is a blank line
                 records = [record or [""] for record in records]
+            if cut == width and set(map(len, records)) - {width}:
+                found = next(len(record) for record in records if len(record) != width)
+                raise ValueError(f"a record of {found} cells, expected {width}")
             columns = []
             for i, decode in wanted:
                 cells = list(map(itemgetter(i), records))
@@ -415,8 +409,8 @@ class Store:
         return state.digest if state else None
 
     def snapshot(self) -> "Snapshot":
-        """The tables as they are now, held as their verified bytes and parsed
-        on first read; a cell read that does not decode is a StoreError naming its table."""
+        """The tables as they are now, held as their verified bytes and decoded
+        a column at a time; a cell read that does not decode is a StoreError naming its table."""
         return Snapshot(self.catalog, {name: state.frozen() for name, state in self._tables.items()})
 
 
@@ -437,15 +431,14 @@ def _combined_digest(table_digests: Mapping[str, str]) -> str:
 
 class Snapshot:
     """Immutable view of the loaded warehouse at a load boundary, each table
-    held as its ``data.csv`` bytes. ``rows`` parses a table on its first read
-    and ``columns`` decodes only the columns asked for; both keep what they
-    decoded, so each cell is decoded at most once per way of reading it."""
+    held as its ``data.csv`` bytes. ``columns`` decodes only the columns asked
+    for and keeps them, so each cell is decoded at most once; ``rows`` and
+    ``tables`` are views over every column."""
 
     def __init__(self, catalog: Catalog, states: Mapping[str, _TableState]):
         self.catalog = catalog
         self._states = dict(states)
         self.table_digests = {name: state.digest for name, state in self._states.items()}
-        self._rows: dict[str, tuple[dict, ...]] = {}
         self._columns: dict[tuple[str, str], tuple] = {}
 
     @property
@@ -454,15 +447,19 @@ class Snapshot:
 
     @property
     def tables(self) -> dict[str, tuple[Mapping, ...]]:
-        """Every table's rows; parses each table not read yet."""
-        return {name: self.rows(name) for name in self._states}
+        """Every table's rows; decodes each column not read yet."""
+        return dict(zip(self._states, map(self.rows, self._states)))
+
+    def column_names(self, table_name: str) -> list[str]:
+        """The table's ``data.csv`` columns, ``sk`` first for a dimension; none for a table never written."""
+        state = self._states.get(table_name)
+        return [name for name, _, _ in state.plan] if state is not None else []
 
     def rows(self, table_name: str) -> tuple[Mapping, ...]:
         """The table's rows, each cell decoded and an absent one omitted; no rows for a table never written."""
-        if table_name not in self._rows:
-            state = self._states.get(table_name)
-            self._rows[table_name] = state.rows() if state is not None else ()
-        return self._rows[table_name]
+        names = self.column_names(table_name)
+        columns = _zipped(self.columns(table_name, names), self.row_count(table_name))
+        return tuple({name: value for name, value in zip(names, row) if value is not None} for row in columns)
 
     def row_count(self, table_name: str) -> int:
         """The table's row count; 0 for a table never written."""

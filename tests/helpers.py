@@ -2,13 +2,20 @@
 
 The star-join oracle here is deliberately naive (literal nested loops and
 re-stated filter semantics) so it stays independent of the engine it checks.
+It reads rows the engine never decoded: the row lists a snapshot was built
+from, or ``csv_view`` of a store's ``data.csv`` files through the stdlib.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+from contextlib import contextmanager
 from math import fsum
+from pathlib import Path
 
+import agridw.store as store_module
 from agridw.catalog import AttributeDef, Catalog, TableDef
 from agridw.etl import CompiledMapping
 from agridw.store import EqFilter, QuerySpec, RangeFilter, Snapshot
@@ -35,6 +42,46 @@ def apply_mapping(row, spec, catalog, synonyms=None):
     return CompiledMapping(spec, catalog, synonyms).apply(row)
 
 
+# --- independent views of stored tables --------------------------------------
+
+def csv_view(store_dir, catalog: Catalog) -> dict[str, tuple[dict, ...]]:
+    """Each data.csv as the stdlib reader sees it, cells decoded by column kind."""
+    decode = {"foreign-key": int, "number": float, "sk": int}
+    out = {}
+    for path in sorted(Path(store_dir).glob("*/data.csv")):
+        table = catalog.table(path.parent.name)
+        kinds = {"sk": "sk", **{a.name: a.kind for a in table.attributes}}
+        records = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        out[table.name] = tuple(
+            {col: decode.get(kinds[col], str)(cell) for col, cell in record.items() if cell != ""}
+            for record in records
+        )
+    return out
+
+
+def every_column(catalog: Catalog, table: str) -> list[str]:
+    """A table's data.csv columns: ``sk`` first for a dimension, then its attributes."""
+    table_def = catalog.table(table)
+    return (["sk"] if table_def.role == "dimension" else []) + [a.name for a in table_def.attributes]
+
+
+@contextmanager
+def column_reads(monkeypatch):
+    """Yield the ``(table, names)`` of each read ``_TableState.columns`` serves
+    inside the block; ``Snapshot.rows`` fails there."""
+    reads: list[tuple[str, list[str]]] = []
+    columns = store_module._TableState.columns
+
+    def refused(*args):
+        raise AssertionError("read whole rows")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module._TableState, "columns",
+                      lambda state, names: reads.append((state.table.name, list(names))) or columns(state, names))
+        patch.setattr(Snapshot, "rows", refused)
+        yield reads
+
+
 # --- independent star-join oracle -------------------------------------------
 
 def _oracle_filter_ok(filters, row) -> bool:
@@ -53,11 +100,13 @@ def _oracle_filter_ok(filters, row) -> bool:
     return True
 
 
-def nested_loop_star_query(snapshot: Snapshot, q: QuerySpec):
-    """Reference semantics via literal nested loops; returns (columns, rows)."""
-    fact_def = snapshot.catalog.table(q.fact)
+def nested_loop_star_query(catalog: Catalog, tables, q: QuerySpec):
+    """Reference semantics via literal nested loops over ``tables`` (each
+    table's row dicts, ``sk`` in each dimension row; a table left out has no
+    rows); returns (columns, rows)."""
+    fact_def = catalog.table(q.fact)
     joined_rows = []
-    for fact_row in snapshot.rows(q.fact):
+    for fact_row in tables.get(q.fact, ()):
         dims = {}
         keep = True
         for join in q.joins:
@@ -65,7 +114,7 @@ def nested_loop_star_query(snapshot: Snapshot, q: QuerySpec):
             fk = fact_row.get(fk_attr.name)
             match = None
             if fk is not None:
-                for dim_row in snapshot.rows(join.dimension):  # nested scan on purpose
+                for dim_row in tables.get(join.dimension, ()):  # nested scan on purpose
                     if dim_row.get("sk") == fk and _oracle_filter_ok(join.filters, dim_row):
                         match = dim_row
                         break
@@ -167,6 +216,7 @@ def random_mini_catalog(rng: random.Random, n_dims: int) -> Catalog:
 
 
 def random_snapshot(rng: random.Random, max_facts: int = 1000, max_dims: int = 5):
+    """A random snapshot and the row lists it was built from."""
     n_dims = rng.randint(1, max_dims)
     catalog = random_mini_catalog(rng, n_dims)
     dim_names = [f"D{i}" for i in range(1, n_dims + 1)]
@@ -199,7 +249,7 @@ def random_snapshot(rng: random.Random, max_facts: int = 1000, max_dims: int = 5
                 row[measure] = round(rng.uniform(-100, 100), 3)
         facts.append(row)
     tables["Fact"] = facts
-    return Snapshot.from_tables(catalog, tables)
+    return Snapshot.from_tables(catalog, tables), tables
 
 
 def random_query(rng: random.Random, snapshot: Snapshot) -> QuerySpec:

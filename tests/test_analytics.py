@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
-import agridw.store as store_module
 from agridw.analytics import (
     FACTOR_SPECS,
     FACTORS,
@@ -32,7 +31,7 @@ from agridw.errors import ConfigError
 from agridw.etl import builtin_crop_synonyms, normalize_synonym
 from agridw.store import open_store
 
-from helpers import GROUP_TABLE_ROWS
+from helpers import GROUP_TABLE_ROWS, column_reads, csv_view, every_column
 
 CATALOG = builtin_catalog()
 
@@ -474,23 +473,24 @@ class TestExtraction:
             {"CropKey": crop, "SoilKey": thin},
         ])
         store.flush()
-        monkeypatch.setattr(store_module._TableState, "rows", lambda s: pytest.fail(f"{s.table.name} parsed in full"))
-        records = extract_yield_records(open_store(store_dir, CATALOG).snapshot())
-        monkeypatch.undo()
-        assert records == _joined_row_by_row(store.snapshot())
+        with column_reads(monkeypatch) as reads:
+            records = extract_yield_records(open_store(store_dir, CATALOG).snapshot())
+        assert reads and not [table for table, names in reads if set(names) == set(every_column(CATALOG, table))]
+        assert records == _joined_row_by_row(csv_view(store_dir, CATALOG))
         assert [(r.record_id, r.crop, r.year, r.season) for r in records] == [
             (1, "Grass", 2019, "Spring"), (2, "Spring Barley", None, None), (3, "Spring Barley", None, None),
         ]
 
 
-def _joined_row_by_row(snapshot) -> list[YieldRecord]:
-    """What extract_yield_records returns, joined one fully parsed fact row at a time."""
+def _joined_row_by_row(tables) -> list[YieldRecord]:
+    """What extract_yield_records returns, joined one row of ``tables`` (each
+    table's row dicts, as ``csv_view`` reads them) at a time."""
     def dimension(name, sk):
-        rows = snapshot.rows(name)
+        rows = tables.get(name, ())
         return rows[sk - 1] if sk is not None and 1 <= sk <= len(rows) else {}
 
     records = []
-    for ordinal, fact in enumerate(snapshot.rows("FieldFact"), start=1):
+    for ordinal, fact in enumerate(tables["FieldFact"], start=1):
         name = dimension("Crop", fact.get("CropKey")).get("CropName")
         if fact.get("YieldValue") is None or name is None:
             continue

@@ -22,6 +22,7 @@ from agridw.etl import (
     Transform,
     builtin_crop_synonyms,
     convert_unit,
+    load_synonym_table,
     mapping_from_dict,
     normalize_synonym,
     read_source,
@@ -154,6 +155,13 @@ class TestSynonyms:
             "Winter Rye", "Spring Wheat", "Winter Wheat",
         }
         assert canonical <= set(table.values())
+
+    def test_quoted_crlf_in_a_variant_stays_in_the_cell(self, tmp_path):
+        path = tmp_path / "synonyms.csv"
+        path.write_bytes(b'variant,canonical\r\n"Wheat\r\nW.",Winter Wheat')
+        table = load_synonym_table(path)
+        assert table == {"wheat\r\nw.": "Winter Wheat", "winter wheat": "Winter Wheat"}
+        assert normalize_synonym("Wheat\r\nW.", table) == "Winter Wheat"
 
 
 # --- apply_mapping ---------------------------------------------------------------

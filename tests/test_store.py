@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import agridw.store as store_module
 from agridw import synth
+from agridw.analytics import extract_yield_records
 from agridw.catalog import AttributeDef, builtin_catalog, Catalog, catalog_digest, TableDef, validate_catalog
 from agridw.errors import (
     CatalogMismatchError,
@@ -34,6 +35,8 @@ from agridw.store import (
 )
 from agridw.etl import run_pipeline
 from agridw.util import csv_records
+
+from helpers import column_reads, csv_view, every_column
 
 CATALOG = builtin_catalog()
 
@@ -666,35 +669,19 @@ class TestLazyReopen:
         pairs = synth.source_mapping_pairs(result)
         run_pipeline(pairs, CATALOG, open_store(store_dir, CATALOG))
 
-        parsed, indexed = [], []
-        rows, index = store_module._TableState.rows, store_module._TableState.index
-        monkeypatch.setattr(store_module._TableState, "rows", lambda s: parsed.append(s.table.name) or rows(s))
+        indexed = []
+        index = store_module._TableState.index
         monkeypatch.setattr(store_module._TableState, "index", lambda s: indexed.append(s.table.name) or index(s))
-        store = open_store(store_dir, CATALOG)
-        report = run_pipeline(pairs, CATALOG, store)
-        assert parsed == []
+        with column_reads(monkeypatch) as reads:
+            store = open_store(store_dir, CATALOG)
+            report = run_pipeline(pairs, CATALOG, store)
+        assert reads and all(set(names) <= set(CATALOG.table(table).natural_key) for table, names in reads), reads
         assert "FieldFact" not in indexed
         assert {name: report.tables[name].upserts_new for name in ("Crop", "Field", "Soil")} == {
             "Crop": 0, "Field": 0, "Soil": 0,
         }
         assert report.tables["FieldFact"].rows_accepted == 40
         assert open_store(store_dir, CATALOG).row_count("FieldFact") == 80
-        assert parsed == []
-
-
-def _csv_view(store_dir, catalog: Catalog) -> dict[str, tuple[dict, ...]]:
-    """Each data.csv as the stdlib reader sees it, cells decoded by column kind."""
-    decode = {"foreign-key": int, "number": float, "sk": int}
-    out = {}
-    for name, data in _data_files(store_dir).items():
-        table = catalog.table(name)
-        kinds = {"sk": "sk", **{a.name: a.kind for a in table.attributes}}
-        records = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
-        out[name] = tuple(
-            {col: decode.get(kinds[col], str)(cell) for col, cell in record.items() if cell != ""}
-            for record in records
-        )
-    return out
 
 
 def _apply(store, steps) -> None:
@@ -723,7 +710,7 @@ def test_reopened_store_appends_as_the_live_store(before, after):
         assert got.tables == want.tables
         assert got.table_digests == want.table_digests
         reopened.flush()
-        assert _csv_view(reopened_dir, CATALOG) == got.tables
+        assert csv_view(reopened_dir, CATALOG) == got.tables
         assert {name: _blake2b64_hex(data) for name, data in _data_files(reopened_dir).items()} == got.table_digests
 
 
@@ -869,7 +856,7 @@ class TestOneRepresentation:
         assert files == _data_files(tmp_path / "once")
         for name, data in files.items():
             assert data.count(store_module._TableState(CATALOG.table(name)).header) == 1
-        assert _csv_view(store_dir, CATALOG) == store.snapshot().tables
+        assert csv_view(store_dir, CATALOG) == store.snapshot().tables
         _same_snapshot(open_store(store_dir, CATALOG).snapshot(), store.snapshot())
 
 
@@ -961,11 +948,6 @@ class TestDimensionForeignKeys:
 
 # --- projecting snapshots ---------------------------------------------------
 
-def _column_names(table: str) -> list[str]:
-    table_def = CATALOG.table(table)
-    return (["sk"] if table_def.role == "dimension" else []) + [a.name for a in table_def.attributes]
-
-
 def _projection(snapshot: Snapshot, table: str, names) -> list[tuple]:
     return [tuple(row.get(name) for row in snapshot.rows(table)) for name in names]
 
@@ -996,7 +978,7 @@ def test_columns_are_the_projection_of_rows(crops, facts, data):
         store.flush()
         for snapshot in (live, open_store(Path(tmp) / "store", CATALOG).snapshot()):
             for table in snapshot.table_digests:
-                every = _column_names(table)
+                every = every_column(CATALOG, table)
                 names = data.draw(st.lists(st.sampled_from(every), max_size=6)) if data else every
                 got = snapshot.columns(table, names)  # decoded before any row is parsed
                 assert got == _projection(snapshot, table, names)
@@ -1055,3 +1037,17 @@ class TestProjectingSnapshot:
         assert snapshot.columns("Soil", ["SoilID", "PH"]) == [("S1",), (6.5,)]  # projection reads no further
         with pytest.raises(StoreError, match=r"'Soil'.*cells, expected 20"):
             snapshot.rows("Soil")
+
+    def test_a_read_of_the_last_column_alone_checks_every_record_width(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("OperationTime", {"OperationTimeID": "T1", "StartDate": "2019-04-01", "Season": "Spring"})
+        store.upsert_dimension("OperationTime", {"OperationTimeID": "T2", "Season": "Autumn"})
+        store.insert_facts("FieldFact", [{"OperationTimeKey": 2, "YieldValue": 8.0}])
+        store.flush()
+        _forge(store_dir, "OperationTime", b",Spring\n", b",Spring,Late\n")
+        snapshot = open_store(store_dir, CATALOG).snapshot()
+        assert snapshot.columns("OperationTime", ["StartDate"]) == [("2019-04-01", None)]
+        with pytest.raises(StoreError, match=r"'OperationTime'.*a record of 6 cells, expected 5"):
+            snapshot.columns("OperationTime", ["Season"])
+        with pytest.raises(StoreError, match="OperationTime"):  # analyze reads Season
+            extract_yield_records(snapshot)
