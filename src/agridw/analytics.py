@@ -50,24 +50,37 @@ VERDICT_INSUFFICIENT = "insufficient-data"
 
 @dataclass(frozen=True)
 class YieldRecord:
-    """Analysis-ready row: one field-season outcome for one crop."""
+    """Analysis-ready row: one fact's yield and factor values for one crop.
+
+    ``record_id`` is the fact's 1-based position in FieldFact; it breaks
+    yield ties in the group order.
+    """
 
     record_id: int
     crop: str
     yield_value: float
-    field_id: str | None = None
-    year: int | None = None
-    season: str | None = None
     factors: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """One crop's records in (yield desc, record id asc) order with their quintile labels."""
+    """One crop's records in (yield desc, record id asc) order.
+
+    Group g (1..5) is the slice ``records[(g-1)*n//5 : g*n//5]``, the
+    partition ``quintile_label`` describes; labels and sizes derive from it.
+    """
 
     crop: str
     records: tuple[YieldRecord, ...]
-    labels: tuple[int, ...]  # parallel to records, values 1..5
+
+    @property
+    def groups(self) -> tuple[tuple[YieldRecord, ...], ...]:
+        n = len(self.records)
+        return tuple(self.records[(g - 1) * n // 5 : g * n // 5] for g in GROUPS)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(g for g, group in zip(GROUPS, self.groups) for _ in group)
 
     @property
     def record_ids(self) -> tuple[int, ...]:
@@ -77,10 +90,7 @@ class GroupAssignment:
         return dict(zip(self.record_ids, self.labels))
 
     def group_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * 5
-        for g in self.labels:
-            sizes[g - 1] += 1
-        return tuple(sizes)
+        return tuple(len(group) for group in self.groups)
 
 
 @dataclass(frozen=True)
@@ -171,13 +181,10 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
     table = synonyms if synonyms is not None else builtin_crop_synonyms()
     on_fact = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "FieldFact"]
     on_soil = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "Soil"]
-    crop_keys, field_keys, soil_keys, time_keys, yields, *fact_values = snapshot.columns(
-        "FieldFact",
-        ("CropKey", "FieldKey", "SoilKey", "OperationTimeKey", "YieldValue", *(FACTOR_SPECS[f].attribute for f in on_fact)),
+    crop_keys, soil_keys, yields, *fact_values = snapshot.columns(
+        "FieldFact", ("CropKey", "SoilKey", "YieldValue", *(FACTOR_SPECS[f].attribute for f in on_fact))
     )
     (crop_names,) = _join(snapshot, "Crop", crop_keys, ("CropName",))
-    (field_ids,) = _join(snapshot, "Field", field_keys, ("FieldID",))
-    starts, seasons = _join(snapshot, "OperationTime", time_keys, ("StartDate", "Season"))
     soil_values = _join(snapshot, "Soil", soil_keys, [FACTOR_SPECS[f].attribute for f in on_soil])
     by_factor = dict(zip(on_fact + on_soil, [*fact_values, *soil_values]))
     factors: list[dict[str, float]] = [{} for _ in yields]
@@ -186,24 +193,11 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
             if value is not None:
                 values[factor] = value
     crops = {name: normalize_synonym(name, table) or name for name in set(crop_names) if name is not None}
-
-    records: list[YieldRecord] = []
-    rows = zip(yields, crop_names, field_ids, starts, seasons, factors)
-    for ordinal, (yield_value, crop_name, field_id, start, season, values) in enumerate(rows, start=1):
-        if yield_value is None or crop_name is None:
-            continue
-        records.append(
-            YieldRecord(
-                record_id=ordinal,
-                crop=crops[crop_name],
-                yield_value=yield_value,
-                field_id=field_id,
-                year=int(start[:4]) if start is not None and len(start) >= 4 and start[:4].isdigit() else None,
-                season=season,
-                factors=values,
-            )
-        )
-    return records
+    return [
+        YieldRecord(ordinal, crops[crop_name], yield_value, values)
+        for ordinal, (yield_value, crop_name, values) in enumerate(zip(yields, crop_names, factors), start=1)
+        if yield_value is not None and crop_name is not None
+    ]
 
 
 # --- grouping ----------------------------------------------------------------
@@ -233,19 +227,11 @@ def assign_groups(records: Iterable[YieldRecord]) -> dict[str, GroupAssignment]:
                 f"record {record.record_id}: yield {record.yield_value!r} is not a finite positive number"
             )
         by_crop.setdefault(record.crop, []).append(record)
-    out: dict[str, GroupAssignment] = {}
-    for crop in sorted(by_crop):
-        group = by_crop[crop]
-        if len(group) < MIN_RECORDS_PER_CROP:
-            continue
-        ordered = sorted(group, key=lambda r: (-r.yield_value, r.record_id))
-        n = len(ordered)
-        out[crop] = GroupAssignment(
-            crop=crop,
-            records=tuple(ordered),
-            labels=tuple(quintile_label(i, n) for i in range(n)),
-        )
-    return out
+    return {
+        crop: GroupAssignment(crop, tuple(sorted(by_crop[crop], key=lambda r: (-r.yield_value, r.record_id))))
+        for crop in sorted(by_crop)
+        if len(by_crop[crop]) >= MIN_RECORDS_PER_CROP
+    }
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -257,10 +243,14 @@ def pct_vs_median_group(mean_g: float, mean_3: float) -> float:
 
 
 def yield_group_stats(assignment: GroupAssignment) -> GroupYieldStats:
-    """Mean yield per group and percent versus the median group (group 3)."""
-    per_group: list[list[float]] = [[] for _ in GROUPS]
-    for record, label in zip(assignment.records, assignment.labels):
-        per_group[label - 1].append(record.yield_value)
+    """Mean yield per group and percent versus the median group (group 3).
+
+    Every group needs a record, so fewer than 5 records raise ConfigError
+    naming the crop.
+    """
+    per_group = [[r.yield_value for r in group] for group in assignment.groups]
+    if not all(per_group):
+        raise ConfigError(f"crop {assignment.crop!r}: {len(assignment.records)} records leave a yield group empty")
     try:
         means = tuple(_mean(vals) for vals in per_group)
     except OverflowError:
@@ -285,15 +275,11 @@ def factor_group_means(assignment: GroupAssignment, factor: str) -> FactorGroupS
     """
     if factor not in FACTOR_SPECS:
         raise ConfigError(f"unknown factor {factor!r}; expected one of {', '.join(FACTORS)}")
-    per_group: list[list[float]] = [[] for _ in GROUPS]
-    for record, label in zip(assignment.records, assignment.labels):
-        value = record.factors.get(factor)
-        if value is not None:
-            if not isfinite(value):
-                raise ConfigError(
-                    f"record {record.record_id}: factor {factor} value {value!r} is not a finite number"
-                )
-            per_group[label - 1].append(value)
+    per_group = [[v for r in group if (v := r.factors.get(factor)) is not None] for group in assignment.groups]
+    if not all(isfinite(v) for vals in per_group for v in vals):
+        record = next(r for r in assignment.records if not isfinite(r.factors.get(factor) or 0.0))
+        value = record.factors[factor]
+        raise ConfigError(f"record {record.record_id}: factor {factor} value {value!r} is not a finite number")
     means: list[float | None] = []
     sds: list[float | None] = []
     try:
@@ -391,7 +377,7 @@ def mine_optima_from_records(
     assignments = assign_groups(records)
     findings: list[OptimalFinding] = []
     for crop in sorted({r.crop for r in records}):
-        assignment = assignments.get(crop, GroupAssignment(crop=crop, records=(), labels=()))
+        assignment = assignments.get(crop, GroupAssignment(crop, ()))
         for factor, spec in FACTOR_SPECS.items():
             stats = factor_group_means(assignment, factor)
             verdict, statistic = is_discriminative(stats, rule)

@@ -96,7 +96,6 @@ def _cmd_analyze(args) -> int:
         raise ConfigError("store has no FieldFact rows to analyze")
     snapshot = store.snapshot()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = analytics.extract_yield_records(snapshot)  # decodes only the columns it reads
 
     if args.mode == "groups":

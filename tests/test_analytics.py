@@ -12,6 +12,7 @@ from agridw.analytics import (
     FACTOR_SPECS,
     FACTORS,
     FactorGroupStats,
+    GroupAssignment,
     SignificanceRule,
     YieldRecord,
     assign_groups,
@@ -94,6 +95,9 @@ class TestAssignGroups:
         assert set(assignment.record_ids) == {r.record_id for r in records}
         by_id = {r.record_id: r.yield_value for r in records}
         ordered_yields = [by_id[i] for i in assignment.record_ids]
+        # the slices are the partition quintile_label describes
+        n = len(yields)
+        assert assignment.labels == tuple(quintile_label(i, n) for i in range(n))
         # group label sequence is monotone along the sorted order
         assert list(assignment.labels) == sorted(assignment.labels)
         for g in range(1, 5):
@@ -206,6 +210,12 @@ class TestYieldGroupStats:
         for got, exp, ref in zip(stats.pcts, expected_pcts, printed):
             assert abs(round(got, 1) - exp) < 0.05
             assert abs(got - ref) <= 0.3 + 1e-9
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_an_empty_group_is_rejected_naming_the_crop(self, n):
+        assignment = GroupAssignment(crop="X", records=tuple(_records([9.0, 8.0, 7.0][:n], crop="X")))
+        with pytest.raises(ConfigError, match="crop 'X'"):
+            yield_group_stats(assignment)
 
     def test_single_value_pct(self):
         assert abs(pct_vs_median_group(23.80, 14.19) - 67.7) < 0.05
@@ -421,9 +431,6 @@ class TestExtraction:
         )
         (record,) = extract_yield_records(store.snapshot())
         assert record.crop == "Grass"
-        assert record.field_id == "F1"
-        assert record.year == 2019
-        assert record.season == "Spring"
         assert record.yield_value == 8.93
         assert record.factors == {
             "soil_ph": 6.1, "soil_p": 20.0, "soil_k": 110.0, "soil_mg": 60.0,
@@ -476,10 +483,13 @@ class TestExtraction:
         with column_reads(monkeypatch) as reads:
             records = extract_yield_records(open_store(store_dir, CATALOG).snapshot())
         assert reads and not [table for table, names in reads if set(names) == set(every_column(CATALOG, table))]
+        assert {(table, name) for table, names in reads for name in names} == {
+            *(("FieldFact", name) for name in ("CropKey", "SoilKey", "YieldValue", "HerbicideQty", "InsecticideQty")),
+            ("Crop", "CropName"),
+            *(("Soil", name) for name in ("PH", "Phosphorus", "Potassium", "Magnesium")),
+        }
         assert records == _joined_row_by_row(csv_view(store_dir, CATALOG))
-        assert [(r.record_id, r.crop, r.year, r.season) for r in records] == [
-            (1, "Grass", 2019, "Spring"), (2, "Spring Barley", None, None), (3, "Spring Barley", None, None),
-        ]
+        assert [(r.record_id, r.crop) for r in records] == [(1, "Grass"), (2, "Spring Barley"), (3, "Spring Barley")]
 
 
 def _joined_row_by_row(tables) -> list[YieldRecord]:
@@ -494,17 +504,12 @@ def _joined_row_by_row(tables) -> list[YieldRecord]:
         name = dimension("Crop", fact.get("CropKey")).get("CropName")
         if fact.get("YieldValue") is None or name is None:
             continue
-        optime = dimension("OperationTime", fact.get("OperationTimeKey"))
-        start = optime.get("StartDate", "")
         joined = {"FieldFact": fact, "Soil": dimension("Soil", fact.get("SoilKey"))}
         factors = {factor: joined[spec.table].get(spec.attribute) for factor, spec in FACTOR_SPECS.items()}
         records.append(YieldRecord(
             record_id=ordinal,
             crop=normalize_synonym(name, builtin_crop_synonyms()) or name,
             yield_value=fact["YieldValue"],
-            field_id=dimension("Field", fact.get("FieldKey")).get("FieldID"),
-            year=int(start[:4]) if len(start) >= 4 and start[:4].isdigit() else None,
-            season=optime.get("Season"),
             factors={factor: value for factor, value in factors.items() if value is not None},
         ))
     return records

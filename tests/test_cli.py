@@ -305,6 +305,17 @@ class TestAnalyze:
         open_store(store_dir, builtin_catalog())
         assert main(["analyze", "mine", "--store", str(store_dir), "--out", str(tmp_path / "o")]) == 2
 
+    def test_groups_with_no_crop_of_five_records_exit_two_creates_no_out_dir(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        writer = open_store(store_dir, builtin_catalog())
+        crop = writer.upsert_dimension("Crop", {"CropID": "C1", "CropName": "Grass"})
+        writer.insert_facts("FieldFact", [{"CropKey": crop, "YieldValue": y} for y in (8.0, 7.0, 6.0)])
+        writer.flush()
+        out = tmp_path / "out"
+        assert main(["analyze", "groups", "--store", str(store_dir), "--out", str(out)]) == 2
+        assert "no group statistics" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStoreVerify:
     def _store(self, tmp_path) -> Path:

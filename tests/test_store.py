@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import agridw.store as store_module
 from agridw import synth
-from agridw.analytics import extract_yield_records
 from agridw.catalog import AttributeDef, builtin_catalog, Catalog, catalog_digest, TableDef, validate_catalog
 from agridw.errors import (
     CatalogMismatchError,
@@ -1049,5 +1048,3 @@ class TestProjectingSnapshot:
         assert snapshot.columns("OperationTime", ["StartDate"]) == [("2019-04-01", None)]
         with pytest.raises(StoreError, match=r"'OperationTime'.*a record of 6 cells, expected 5"):
             snapshot.columns("OperationTime", ["Season"])
-        with pytest.raises(StoreError, match="OperationTime"):  # analyze reads Season
-            extract_yield_records(snapshot)
