@@ -16,7 +16,7 @@ from . import analytics, report, synth
 from .catalog import builtin_catalog, catalog_digest, load_catalog, validate_catalog
 from .errors import AgriDwError, ConfigError, StoreError
 from .etl import FORMAT_DELIMITED, FORMAT_RECORD_JSON, SourceDescriptor, load_mapping, run_pipeline, write_reject_ledger
-from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, open_store
+from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, Store, open_store
 
 
 # Output file suffix per report format; also the `analyze --format` choices.
@@ -27,6 +27,14 @@ def _load_catalog_arg(path: str | None):
     if path is None:
         return builtin_catalog()
     return load_catalog(path)
+
+
+def _open_existing_store(args) -> Store:
+    """Open ``--store`` under ``--catalog``; a path with no manifest is refused, never created."""
+    catalog = _load_catalog_arg(args.catalog)
+    if not (Path(args.store) / MANIFEST_NAME).is_file():
+        raise StoreError(f"no store manifest in {Path(args.store)}")
+    return open_store(args.store, catalog)
 
 
 # Rule spec prefix -> (rule kind, its optional parts with their parsers, in order).
@@ -90,8 +98,7 @@ def _cmd_analyze(args) -> int:
         return 2
     if args.mode == "factor" and args.format == report.FORMAT_MARKDOWN:
         raise ConfigError("factor series have no markdown format; use --format delimited or json")
-    catalog = _load_catalog_arg(args.catalog)
-    store = open_store(args.store, catalog)
+    store = _open_existing_store(args)
     if not store.row_count("FieldFact"):
         raise ConfigError("store has no FieldFact rows to analyze")
     snapshot = store.snapshot()
@@ -124,17 +131,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_store_verify(args) -> int:
-    catalog = _load_catalog_arg(args.catalog)
-    path = Path(args.store)
-    if not (path / MANIFEST_NAME).is_file():
-        raise StoreError(f"no store manifest in {path}")
-    store = open_store(path, catalog)
+    store = _open_existing_store(args)
     snapshot = store.snapshot()  # open checks digests, headers and row counts; columns() below decodes every cell
     print(f"manifest version {MANIFEST_VERSION}")
     names = sorted(snapshot.table_digests)
     for name in names:
         snapshot.columns(name, snapshot.column_names(name))
-        size = (path / name / DATA_NAME).stat().st_size
+        size = (store.path / name / DATA_NAME).stat().st_size
         print(f"{name}: {snapshot.row_count(name)} rows, {size} bytes, digest {snapshot.table_digests[name]}")
     print(f"store ok: {len(names)} tables verified")
     return 0

@@ -82,6 +82,8 @@ def emit_factor_series(
     stats: Sequence[FactorGroupStats], path: str | Path, fmt: str = FORMAT_DELIMITED
 ) -> Path:
     """Plot-ready factor series, one row per (factor, crop, group): crop, factor, group, mean, count, sd."""
+    if not stats:
+        raise ConfigError("no factor statistics to emit")
     rows = [
         (s.crop, s.factor, g, s.means[g - 1], s.counts[g - 1], s.sds[g - 1])
         for s in sorted(stats, key=lambda s: (s.factor, s.crop))

@@ -48,7 +48,7 @@ MANIFEST_VERSION = 2
 
 AGGREGATE_OPS = ("count", "sum", "mean", "min", "max")
 
-_DECODERS = {"foreign-key": int, "number": float}
+_DECODERS = {"surrogate-key": int, "foreign-key": int, "number": float}
 _FLOAT_MAX = sys.float_info.max  # compared with, since isfinite raises OverflowError on an int beyond float range
 # Kinds whose cells are bare digits, signs, points and commas: every byte
 # ``format_decimal`` and ``str(int)`` emit, never a quote or a newline.
@@ -67,29 +67,26 @@ class _TableState:
     them with ``csv_records``, so a live table reads exactly as its reopen
     does, and a record that reader refuses fails every read of the table.
 
-    ``plan`` holds one ``(column, kind, decoder)`` per ``data.csv`` column,
-    ``sk`` first for dimensions; ``encode`` (writes) and ``columns`` (every
-    read, ``index`` too) follow it. ``count`` is the table's row count,
-    checked against the bytes at open.
+    ``where`` maps each ``data.csv`` column, in file order with ``sk`` first
+    for dimensions, to its ``(position, kind, decoder)``; ``encode`` (writes)
+    and ``columns`` (every read, ``index`` too) look columns up in it.
+    ``foreign_keys`` maps each foreign-key column to the table it references.
+    ``count`` is the table's row count, checked against the bytes at open.
     """
 
     __slots__ = (
-        "table", "plan", "names", "key_plan", "foreign_keys", "header", "_is_dim", "digest_state",
+        "table", "where", "key_plan", "foreign_keys", "header", "_is_dim", "digest_state",
         "chunks", "written", "count", "by_natural", "by_leading",
     )
 
     def __init__(self, table: TableDef):
         self.table = table
         self._is_dim = table.role == "dimension"
-        self.plan = ([(SK_COLUMN, "surrogate-key", int)] if self._is_dim else []) + [
-            (a.name, a.kind, _DECODERS.get(a.kind, str)) for a in table.attributes
-        ]
-        columns = [name for name, _, _ in self.plan]
-        self.names = frozenset(columns)
-        where = {name: (i, name, decode) for i, (name, _, decode) in enumerate(self.plan)}
-        self.key_plan = [where[part] for part in table.natural_key]  # (position, column, decoder)
-        self.foreign_keys = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
-        self.header = csv_line(columns).encode("utf-8")
+        kinds = ([(SK_COLUMN, "surrogate-key")] if self._is_dim else []) + [(a.name, a.kind) for a in table.attributes]
+        where = self.where = {name: (i, kind, _DECODERS.get(kind, str)) for i, (name, kind) in enumerate(kinds)}
+        self.key_plan = [(where[part][0], part, where[part][2]) for part in table.natural_key]  # (position, column, decoder)
+        self.foreign_keys = {a.name: a.references for a in table.attributes if a.kind == "foreign-key"}
+        self.header = csv_line(where).encode("utf-8")
         self.digest_state = _blake2b64(self.header)
         self.chunks: list[bytes] = [self.header]
         self.written = 0
@@ -109,7 +106,7 @@ class _TableState:
         name, start = self.table.name, len(self.header)
         if not data.startswith(self.header):
             raise StoreError(f"table {name!r}: unexpected header {data[:start]!r}")
-        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.plan):
+        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.where.values()):
             if _KEY_AND_NUMBER_BODY.fullmatch(data, start) is None:
                 raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
         if data.find(b'"', start) < 0 and data.find(b"\r", start) < 0:  # no quoted cell: each "\n" ends a record
@@ -157,13 +154,13 @@ class _TableState:
     def columns(self, names: Sequence[str]) -> list[list]:
         """The named columns alone, each cell decoded and an absent one None.
         A read that reaches the last column checks the width of every record."""
-        where = {name: (i, decode) for i, (name, _, decode) in enumerate(self.plan)}
+        where = self.where
         for name in names:
             if name not in where:
                 raise UnknownAttributeError(f"{self.table.name}.{name} does not exist")
         wanted = [where[name] for name in names]
-        width = len(self.plan)
-        cut = max((i for i, _ in wanted), default=-1) + 1
+        width = len(where)
+        cut = max((i for i, _, _ in wanted), default=-1) + 1
         with self._readable():
             records = self._records(cut if cut < width else -1)  # uncut, so each record's width is exact
             if width == 1:  # a one-column row with no value is a blank line
@@ -172,7 +169,7 @@ class _TableState:
                 found = next(len(record) for record in records if len(record) != width)
                 raise ValueError(f"a record of {found} cells, expected {width}")
             columns = []
-            for i, decode in wanted:
+            for i, _, decode in wanted:
                 cells = list(map(itemgetter(i), records))
                 if "" in cells:  # an absent cell reads None
                     cells = [decode(text) if text else None for text in cells]
@@ -194,41 +191,42 @@ class _TableState:
         self.chunks.append(data)
         self.count += rows
 
-    def encode(self, row: Mapping) -> tuple[bytes, list[str]]:
-        """Check ``row`` against the plan: its ``data.csv`` line and cells.
+    def encode(self, row: Mapping, limits: Mapping[str, int]) -> tuple[bytes, list[str]]:
+        """The ``data.csv`` line and cells of ``row``, checked in one pass over
+        the values it sets, so the first fault in the row's key order is raised.
 
         Numbers are written through ``format_decimal``; a text longer than
         ``csv.field_size_limit()`` is refused, since ``csv.reader`` could not
-        read it back. A dimension row's ``sk`` must be its 1-based position.
+        read it back. A foreign key named in ``limits`` must lie in
+        ``1..limit``. A dimension row's ``sk`` must be its 1-based position.
         """
-        get = row.get
-        cells: list[str] = []
-        push = cells.append
-        for name, kind, decode in self.plan:
-            value = get(name)
+        where, table = self.where, self.table.name
+        cells = [""] * len(where)
+        for name, value in row.items():
+            column = where.get(name)
+            if column is None:
+                raise StoreTypeError(f"{table}: unknown attribute {name!r}")
             if value is None:
-                push("")
-            elif kind == "number":
+                continue
+            i, kind, decode = column
+            if kind == "number":
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                    raise StoreTypeError(f"{self.table.name}.{name}: expected a finite number")
-                push(format_decimal(value))
+                    raise StoreTypeError(f"{table}.{name}: expected a finite number")
+                cells[i] = format_decimal(value)
             elif decode is int:  # foreign keys and sk
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise StoreTypeError(f"{self.table.name}.{name}: keys are integers")
-                push(str(value))
+                    raise StoreTypeError(f"{table}.{name}: keys are integers")
+                if name in limits and not 1 <= value <= limits[name]:
+                    raise DanglingKeyError(f"{table}.{name}={value} does not resolve in {self.foreign_keys[name]!r}")
+                cells[i] = str(value)
             else:
                 if not isinstance(value, str) or value == "":
-                    raise StoreTypeError(f"{self.table.name}.{name}: expected non-empty text")
+                    raise StoreTypeError(f"{table}.{name}: expected non-empty text")
                 if len(value) > csv.field_size_limit():
-                    raise StoreTypeError(
-                        f"{self.table.name}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})"
-                    )
-                push(csv_field(value))  # numbers and keys never need quoting
-        if not self.names.issuperset(row):
-            unknown = next(key for key in row if key not in self.names)
-            raise StoreTypeError(f"{self.table.name}: unknown attribute {unknown!r}")
-        if self._is_dim and get(SK_COLUMN) != self.count + 1:
-            raise StoreTypeError(f"{self.table.name}: {SK_COLUMN} {get(SK_COLUMN)!r} is not the row position {self.count + 1}")
+                    raise StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
+                cells[i] = csv_field(value)  # numbers and keys never need quoting
+        if self._is_dim and row.get(SK_COLUMN) != self.count + 1:
+            raise StoreTypeError(f"{table}: {SK_COLUMN} {row.get(SK_COLUMN)!r} is not the row position {self.count + 1}")
         return (",".join(cells) + "\n").encode("utf-8"), cells
 
     @property
@@ -344,29 +342,24 @@ class Store:
         state = self._tables.get(table_name)
         return state.count if state is not None else 0
 
-    def _check_foreign_keys(self, state: _TableState, rows: Sequence[Mapping]) -> None:
-        """DanglingKeyError for a foreign key outside ``1..row_count`` of the
-        table it references; ``encode`` has checked each key is an int."""
-        for name, ref in state.foreign_keys:
-            limit = self.row_count(ref)
-            for row in rows:
-                value = row.get(name)
-                if value is not None and not 1 <= value <= limit:
-                    raise DanglingKeyError(f"{state.table.name}.{name}={value} does not resolve in {ref!r}")
+    def _writable(self, table_name: str, role: str) -> tuple[_TableState, dict[str, int]]:
+        """The state a write to a ``role`` table extends (registered by the first
+        write that succeeds) and the row count each foreign key may reach."""
+        table = self.catalog.table(table_name)
+        if table is None or table.role != role:
+            raise StoreError(f"{table_name!r} is not a {role} table")
+        state = self._tables.get(table_name) or _TableState(table)
+        return state, {name: self.row_count(ref) for name, ref in state.foreign_keys.items()}
 
     def upsert_dimension(self, table_name: str, row: Mapping) -> int:
         """Insert or find by natural key; first write wins, keys stay dense.
         A foreign key must resolve, as in ``insert_facts``."""
-        table = self.catalog.table(table_name)
-        if table is None or table.role != "dimension":
-            raise StoreError(f"{table_name!r} is not a dimension table")
+        state, limits = self._writable(table_name, "dimension")
         if SK_COLUMN in row:
             raise StoreTypeError(f"{table_name}: the store assigns {SK_COLUMN!r}")
-        state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
         state.index()
         sk = state.count + 1
-        line, cells = state.encode({SK_COLUMN: sk, **row})
-        self._check_foreign_keys(state, [row])
+        line, cells = state.encode({SK_COLUMN: sk, **row}, limits)
         natural = []
         for i, part, decode in state.key_plan:  # as ``index`` reads the key back
             if not cells[i]:
@@ -392,12 +385,8 @@ class Store:
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
         """Append a batch atomically; a mistyped row or a dangling key rejects the whole batch."""
-        table = self.catalog.table(table_name)
-        if table is None or table.role != "fact":
-            raise StoreError(f"{table_name!r} is not a fact table")
-        state = self._tables.get(table_name) or _TableState(table)  # registered by the first write that succeeds
-        lines = [state.encode(row)[0] for row in rows]
-        self._check_foreign_keys(state, rows)
+        state, limits = self._writable(table_name, "fact")
+        lines = [state.encode(row, limits)[0] for row in rows]
         state.append(b"".join(lines), len(lines))
         self._tables[table_name] = state
         return len(rows)
@@ -453,7 +442,7 @@ class Snapshot:
     def column_names(self, table_name: str) -> list[str]:
         """The table's ``data.csv`` columns, ``sk`` first for a dimension; none for a table never written."""
         state = self._states.get(table_name)
-        return [name for name, _, _ in state.plan] if state is not None else []
+        return list(state.where) if state is not None else []
 
     def rows(self, table_name: str) -> tuple[Mapping, ...]:
         """The table's rows, each cell decoded and an absent one omitted; no rows for a table never written."""
@@ -489,7 +478,7 @@ class Snapshot:
                 raise StoreError(f"unknown table {name!r}")
             state = _TableState(table)
             for row in rows:
-                state.append(state.encode(row)[0], 1)
+                state.append(state.encode(row, {})[0], 1)  # checks no key range
             states[name] = state.frozen()
         return cls(catalog, states)
 

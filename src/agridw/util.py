@@ -12,6 +12,9 @@ from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+_UMASK = os.umask(0o022)  # the mask can only be read by setting it, so it is set back at once
+os.umask(_UMASK)
+
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -110,13 +113,15 @@ def _read_records(text: str, delimiter: str) -> Iterator[tuple[list[str] | None,
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> Path:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename. The file gets
+    the mode ``open`` gives a new file under the umask, not mkstemp's 0600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         try:

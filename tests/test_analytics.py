@@ -251,6 +251,13 @@ class TestReferenceTableConsistency:
                 rows += 1
         assert rows == 60
 
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_each_factor_names_a_number_attribute_of_its_unit(self, factor):
+        spec = FACTOR_SPECS[factor]
+        attribute = CATALOG.table(spec.table).attribute(spec.attribute)
+        assert attribute is not None and attribute.kind == "number"
+        assert attribute.unit == spec.unit
+
 
 # --- factor group means -----------------------------------------------------------
 

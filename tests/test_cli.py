@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,15 @@ class TestIngest:
         assert code == 0
         err = capsys.readouterr().err
         assert "total: 4 read, 4 accepted, 0 rejected" in err
+
+    def test_manifest_has_the_mode_of_a_data_file(self, tmp_path):
+        crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n"])
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map,
+                     "--source", facts, "--mapping", fact_map]) == 0
+        mode = stat.S_IMODE((store / "Crop" / "data.csv").stat().st_mode)
+        assert stat.S_IMODE((store / "manifest.json").stat().st_mode) == mode
+        assert stat.S_IMODE((store / "reject_ledger.csv").stat().st_mode) == mode
 
     def test_bad_row_exit_one_with_ledger(self, tmp_path):
         crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n", "C1,oops\n"])
@@ -315,6 +325,24 @@ class TestAnalyze:
         assert main(["analyze", "groups", "--store", str(store_dir), "--out", str(out)]) == 2
         assert "no group statistics" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_factor_with_no_crop_of_five_records_exit_two_creates_no_out_dir(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        writer = open_store(store_dir, builtin_catalog())
+        crop = writer.upsert_dimension("Crop", {"CropID": "C1", "CropName": "Grass"})
+        writer.insert_facts("FieldFact", [{"CropKey": crop, "YieldValue": y} for y in (8.0, 7.0, 6.0)])
+        writer.flush()
+        out = tmp_path / "out"
+        assert main(["analyze", "factor", "--factor", "soil_ph", "--store", str(store_dir), "--out", str(out)]) == 2
+        assert "no factor statistics" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["groups", "factor", "mine"])
+    def test_missing_store_exit_two_creates_nothing(self, tmp_path, capsys, mode):
+        store, out = tmp_path / "nostore", tmp_path / "out"
+        assert main(["analyze", mode, "--factor", "soil_ph", "--store", str(store), "--out", str(out)]) == 2
+        assert f"no store manifest in {store}" in capsys.readouterr().err
+        assert not store.exists() and not out.exists()
 
 
 class TestStoreVerify:

@@ -33,7 +33,7 @@ from agridw.store import (
     star_query,
 )
 from agridw.etl import run_pipeline
-from agridw.util import csv_records
+from agridw.util import csv_records, format_decimal
 
 from helpers import column_reads, csv_view, every_column
 
@@ -341,6 +341,69 @@ class TestInsertFacts:
     def test_empty_batch(self, store_dir):
         store = self._with_crop(store_dir)
         assert store.insert_facts("FieldFact", []) == 0
+
+
+class TestFirstFaultInKeyOrder:
+    """``encode`` checks a row in one pass over its keys, the foreign-key range too."""
+
+    def test_a_row_reports_its_first_fault_in_key_order(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        with pytest.raises(DanglingKeyError, match=r"FieldFact\.CropKey=7 does not resolve in 'Crop'"):
+            store.insert_facts("FieldFact", [{"CropKey": 7, "YieldValue": "9"}])
+        with pytest.raises(StoreTypeError, match=r"FieldFact\.YieldValue"):
+            store.insert_facts("FieldFact", [{"YieldValue": "9", "CropKey": 7}])
+        assert store.row_count("FieldFact") == 0
+
+    def test_a_fact_batch_reports_its_first_faulty_row(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        rows = [{"CropKey": 1, "YieldValue": 8.0}, {"CropKey": 0}, {"CropKey": 1, "YieldValue": "9"}]
+        with pytest.raises(DanglingKeyError, match=r"FieldFact\.CropKey=0 "):
+            store.insert_facts("FieldFact", rows)
+        assert store.row_count("FieldFact") == 0
+
+    @pytest.mark.parametrize("table, row", [("Crop", _crop("C1", "Grass")), ("FieldFact", {"YieldValue": 8.0})])
+    def test_an_unknown_attribute_is_refused_even_when_absent(self, store_dir, table, row):
+        store = open_store(store_dir, CATALOG)
+        write = store.upsert_dimension if table == "Crop" else lambda name, row: store.insert_facts(name, [row])
+        with pytest.raises(StoreTypeError, match=f"{table}: unknown attribute 'Colour'"):
+            write(table, {**row, "Colour": None})
+        assert store.row_count(table) == 0
+
+
+_KIND_VALUES = {"number": _NUMBER, "foreign-key": st.integers(1, 9)}
+
+
+@st.composite
+def _rows_in_two_key_orders(draw):
+    """A Crop, Soil or FieldFact row in catalog column order, and the same row with its keys shuffled."""
+    table = CATALOG.table(draw(st.sampled_from(["Crop", "Soil", "FieldFact"])))
+    row = {"sk": 1} if table.role == "dimension" else {}
+    for attribute in table.attributes:
+        if draw(st.booleans()):
+            row[attribute.name] = draw(st.none() | _KIND_VALUES.get(attribute.kind, _QUOTED_TEXT))
+    return table, row, {key: row[key] for key in draw(st.permutations(list(row)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rows_in_two_key_orders())
+@example(case=(CATALOG.table("FieldFact"), {"CropKey": 2, "YieldValue": 2**63 - 1, "InsecticideQty": None},
+               {"InsecticideQty": None, "YieldValue": 2**63 - 1, "CropKey": 2}))
+@example(case=(CATALOG.table("Crop"), {"sk": 1, "CropID": 'a,"b', "EstYield": 1e-7},
+               {"EstYield": 1e-7, "CropID": 'a,"b', "sk": 1}))
+def test_a_rows_line_and_cells_do_not_depend_on_its_key_order(case):
+    table, row, shuffled = case
+    state = store_module._TableState(table)
+    limits = dict.fromkeys(state.foreign_keys, 9)
+    line, cells = state.encode(row, limits)
+    assert state.encode(shuffled, limits) == (line, cells)
+    assert line == (",".join(cells) + "\n").encode("utf-8")
+    kinds = {attribute.name: attribute.kind for attribute in table.attributes}
+    assert next(csv.reader([line.decode("utf-8")])) == [
+        "" if (value := row.get(name)) is None else format_decimal(value) if kinds.get(name) == "number" else str(value)
+        for name in every_column(CATALOG, table.name)
+    ]
 
 
 class TestLocking:
