@@ -35,7 +35,6 @@ FACTOR_SPECS = {
     "insecticide": FactorSpec("FieldFact", "InsecticideQty", "g/ha", 0),
 }
 FACTORS = tuple(FACTOR_SPECS)
-FACTOR_UNITS = {factor: spec.unit for factor, spec in FACTOR_SPECS.items()}
 
 GROUPS = (1, 2, 3, 4, 5)
 MIN_RECORDS_PER_CROP = 5
@@ -66,8 +65,8 @@ class YieldRecord:
 class GroupAssignment:
     """One crop's records in (yield desc, record id asc) order.
 
-    Group g (1..5) is the slice ``records[(g-1)*n//5 : g*n//5]``, the
-    partition ``quintile_label`` describes; labels and sizes derive from it.
+    Group g (1..5) is the slice ``records[(g-1)*n//5 : g*n//5]``, so group
+    sizes differ by at most one.
     """
 
     crop: str
@@ -77,20 +76,6 @@ class GroupAssignment:
     def groups(self) -> tuple[tuple[YieldRecord, ...], ...]:
         n = len(self.records)
         return tuple(self.records[(g - 1) * n // 5 : g * n // 5] for g in GROUPS)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(g for g, group in zip(GROUPS, self.groups) for _ in group)
-
-    @property
-    def record_ids(self) -> tuple[int, ...]:
-        return tuple(r.record_id for r in self.records)
-
-    def label_of(self) -> dict[int, int]:
-        return dict(zip(self.record_ids, self.labels))
-
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(group) for group in self.groups)
 
 
 @dataclass(frozen=True)
@@ -201,18 +186,6 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
 
 
 # --- grouping ----------------------------------------------------------------
-
-def quintile_label(position: int, n: int) -> int:
-    """Group label for 0-based sorted ``position`` of ``n`` records.
-
-    Record i belongs to the unique g with floor((g-1)*n/5) <= i < floor(g*n/5),
-    which keeps group sizes within one of each other for every n.
-    """
-    for g in GROUPS:
-        if position < (g * n) // 5:
-            return g
-    raise ValueError(f"position {position} out of range for n={n}")
-
 
 def assign_groups(records: Iterable[YieldRecord]) -> dict[str, GroupAssignment]:
     """Quintile assignment per crop; crops with fewer than 5 records are skipped.

@@ -599,6 +599,7 @@ def run_pipeline(
             table = mapping.table
             stats = report.stats_for(table.name)
             started = time.perf_counter()
+            rows_before, accepted_before = store.row_count(table.name), stats.rows_accepted
             fact_batch: list[dict] = []
             is_fact = table.is_fact
             fk_attrs = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
@@ -615,13 +616,13 @@ def run_pipeline(
                 if is_fact:
                     fact_batch.append(outcome)
                     continue
-                before = store.row_count(table.name)
-                if store.upsert_dimension(table.name, outcome) > before:
-                    stats.upserts_new += 1
-                else:
-                    stats.upserts_deduped += 1
+                store.upsert_dimension(table.name, outcome)
             if fact_batch:
                 store.insert_facts(table.name, fact_batch)
+            if not is_fact:  # each accepted row is new or deduplicated; the new ones grew the table
+                new = store.row_count(table.name) - rows_before
+                stats.upserts_new += new
+                stats.upserts_deduped += stats.rows_accepted - accepted_before - new
             store.flush()
             stats.elapsed_s += time.perf_counter() - started
     return report

@@ -263,6 +263,8 @@ class Store:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreError(f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError("unreadable manifest: not a JSON object")
         recorded = manifest.get("catalog_digest")
         if recorded != self.catalog_digest:
             raise CatalogMismatchError(
@@ -271,10 +273,15 @@ class Store:
         version = manifest.get("version")
         if version != MANIFEST_VERSION:
             raise StoreError(f"unsupported manifest version {version!r}")
-        for name, entry in manifest.get("tables", {}).items():
+        tables = manifest.get("tables", {})
+        if not isinstance(tables, dict):
+            raise StoreError("unreadable manifest: its tables are not a JSON object")
+        for name, entry in tables.items():
             table = self.catalog.table(name)
             if table is None:
                 raise StoreError(f"manifest lists unknown table {name!r}")
+            if not isinstance(entry, dict):
+                raise StoreError(f"unreadable manifest: the entry of table {name!r} is not a JSON object")
             state = _TableState(table)
             try:
                 data = self._data_path(name).read_bytes()
@@ -531,31 +538,38 @@ class ResultTable:
     rows: list[tuple]
 
 
-def validate_query(catalog: Catalog, q: QuerySpec) -> TableDef:
+def validate_query(catalog: Catalog, q: QuerySpec) -> tuple[list[str], list[tuple[str, str]]]:
+    """Check ``q`` against ``catalog``; return the fact's foreign key for each
+    join and the (table, column) each projected name reads."""
     fact = catalog.table(q.fact)
     if fact is None or fact.role != "fact":
         raise QueryError(f"{q.fact!r} is not a fact table")
-    joined: set[str] = set()
+    fks: list[str] = []
     for join in q.joins:
         dim = catalog.table(join.dimension)
         if dim is None or join.dimension not in fact.dimension_refs:
             raise QueryError(f"{join.dimension!r} is not a dimension of {fact.name!r}")
-        if fact.foreign_key_for(join.dimension) is None:
+        fk = fact.foreign_key_for(join.dimension)
+        if fk is None:
             raise QueryError(f"{fact.name!r} has no foreign key for {join.dimension!r}")
-        joined.add(join.dimension)
+        fks.append(fk.name)
         for flt in join.filters:
             if dim.attribute(flt.attribute) is None:
                 raise UnknownAttributeError(f"{join.dimension}.{flt.attribute} does not exist")
+    projected: list[tuple[str, str]] = []
     for name in q.project:
         if "." in name:
             dim_name, attr = name.split(".", 1)
-            if dim_name not in joined:
+            if dim_name not in {join.dimension for join in q.joins}:
                 raise QueryError(f"projection {name!r} requires joining {dim_name!r}")
             dim = catalog.table(dim_name)
             if dim is None or dim.attribute(attr) is None:
                 raise UnknownAttributeError(f"{name!r} does not exist")
+            projected.append((dim_name, attr))
         elif fact.attribute(name) is None:
             raise UnknownAttributeError(f"{q.fact}.{name} does not exist")
+        else:
+            projected.append((q.fact, name))
     for name in q.group_by:
         if name not in q.project:
             raise QueryError(f"group_by {name!r} must be projected")
@@ -564,7 +578,7 @@ def validate_query(catalog: Catalog, q: QuerySpec) -> TableDef:
             raise QueryError(f"unknown aggregate op {agg.op!r}")
         if agg.attribute not in fact.measures:
             raise UnknownAttributeError(f"aggregate over non-measure {agg.attribute!r}")
-    return fact
+    return fks, projected
 
 
 def _zipped(columns: Sequence[Sequence], n: int) -> list[tuple]:
@@ -579,10 +593,7 @@ def star_query(snapshot: Snapshot, q: QuerySpec) -> ResultTable:
     the columns the query names: filter columns give the ``sk`` (the 1-based
     row position) each dimension allows, and the fact's key columns the rows.
     """
-    fact = validate_query(snapshot.catalog, q)
-    fks = [fact.foreign_key_for(join.dimension).name for join in q.joins]
-    # (table, column) of each projected name, split as validate_query splits it, and of each aggregate's measure
-    projected = [tuple(name.split(".", 1)) if "." in name else (q.fact, name) for name in q.project]
+    fks, projected = validate_query(snapshot.catalog, q)
     measured = [(q.fact, agg.attribute) for agg in q.aggregates]
     wanted: dict[str, list[str]] = {q.fact: list(fks)}
     for join in q.joins:

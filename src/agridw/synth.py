@@ -119,7 +119,7 @@ class SynthConfig:
                 missing_rate={k: float(v) for k, v in doc.get("missing_rate", {}).items()},
                 seed=int(doc.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: a list where a mapping belongs
             raise ConfigError(f"invalid synth config: {exc!r}") from exc
 
     @classmethod

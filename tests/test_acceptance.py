@@ -88,18 +88,14 @@ def _check_quintiles(yields: list[float]) -> None:
     ]
     assignment = assign_groups(records)["X"]
     n = len(yields)
-    sizes = assignment.group_sizes()
+    ids = [[r.record_id for r in group] for group in assignment.groups]
+    sizes = tuple(map(len, ids))
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
-    assert set(assignment.record_ids) == set(range(1, n + 1))
-    by_id = {r.record_id: r.yield_value for r in records}
-    ordered = [by_id[i] for i in assignment.record_ids]
-    assert list(assignment.labels) == sorted(assignment.labels)
-    for g in range(1, 5):
-        current = [y for y, lab in zip(ordered, assignment.labels) if lab == g]
-        nxt = [y for y, lab in zip(ordered, assignment.labels) if lab == g + 1]
-        if current and nxt:
-            assert max(nxt) <= min(current)
+    assert sorted(i for group in ids for i in group) == list(range(1, n + 1))
+    for upper, lower in zip(ids, ids[1:]):
+        if upper and lower:
+            assert max(yields[i - 1] for i in lower) <= min(yields[i - 1] for i in upper)
 
     stats = yield_group_stats(assignment)
     for c in (0.5, 3.0):
@@ -108,8 +104,7 @@ def _check_quintiles(yields: list[float]) -> None:
             for i, y in enumerate(yields)
         ]
         scaled_assignment = assign_groups(scaled)["X"]
-        assert scaled_assignment.record_ids == assignment.record_ids
-        assert scaled_assignment.labels == assignment.labels
+        assert [[r.record_id for r in group] for group in scaled_assignment.groups] == ids
         scaled_stats = yield_group_stats(scaled_assignment)
         for p1, p2 in zip(stats.pcts, scaled_stats.pcts):
             assert abs(p1 - p2) <= 1e-9

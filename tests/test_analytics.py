@@ -22,7 +22,6 @@ from agridw.analytics import (
     mine_optima,
     mine_optima_from_records,
     pct_vs_median_group,
-    quintile_label,
     round_optimal_value,
     welch_t_from_summary,
     yield_group_stats,
@@ -48,23 +47,34 @@ def _records(yields, crop="Grass", ids=None, factors=None):
 
 # --- grouping -----------------------------------------------------------------
 
+def quintile_label(position: int, n: int) -> int:
+    """Group label for 0-based sorted ``position`` of ``n`` records.
+
+    Record i belongs to the unique g with floor((g-1)*n/5) <= i < floor(g*n/5),
+    which keeps group sizes within one of each other for every n.
+    """
+    for g in range(1, 6):
+        if position < (g * n) // 5:
+            return g
+    raise ValueError(f"position {position} out of range for n={n}")
+
+
+def _ids(groups):
+    return [[r.record_id for r in group] for group in groups]
+
+
 class TestAssignGroups:
     def test_five_records_one_per_group(self):
         assignment = assign_groups(_records([10, 8, 6, 4, 2]))["Grass"]
-        assert assignment.group_sizes() == (1, 1, 1, 1, 1)
-        label = assignment.label_of()
-        assert label[1] == 1  # yield 10 -> top group
-        assert label[5] == 5
+        assert _ids(assignment.groups) == [[1], [2], [3], [4], [5]]  # yield 10 -> top group
 
     def test_seven_records_sizes(self):
         assignment = assign_groups(_records([7, 6, 5, 4, 3, 2, 1]))["Grass"]
-        assert assignment.group_sizes() == (1, 1, 2, 1, 2)
+        assert _ids(assignment.groups) == [[1], [2], [3, 4], [5], [6, 7]]
 
     def test_equal_yields_tie_break_by_id(self):
         assignment = assign_groups(_records([5.0] * 5))["Grass"]
-        label = assignment.label_of()
-        assert label[1] == 1
-        assert label[5] == 5
+        assert _ids(assignment.groups) == [[1], [2], [3], [4], [5]]
 
     def test_small_crop_skipped(self):
         assignments = assign_groups(_records([1, 2, 3, 4]))
@@ -88,23 +98,22 @@ class TestAssignGroups:
     @settings(max_examples=120, deadline=None)
     def test_partition_and_order_properties(self, yields):
         records = _records(yields)
-        assignment = assign_groups(records)["Grass"]
-        sizes = assignment.group_sizes()
-        assert sum(sizes) == len(yields)
-        assert max(sizes) - min(sizes) <= 1
-        assert set(assignment.record_ids) == {r.record_id for r in records}
-        by_id = {r.record_id: r.yield_value for r in records}
-        ordered_yields = [by_id[i] for i in assignment.record_ids]
-        # the slices are the partition quintile_label describes
+        ids = _ids(assign_groups(records)["Grass"].groups)
         n = len(yields)
-        assert assignment.labels == tuple(quintile_label(i, n) for i in range(n))
-        # group label sequence is monotone along the sorted order
-        assert list(assignment.labels) == sorted(assignment.labels)
-        for g in range(1, 5):
-            current = [y for y, lab in zip(ordered_yields, assignment.labels) if lab == g]
-            following = [y for y, lab in zip(ordered_yields, assignment.labels) if lab == g + 1]
-            if current and following:
-                assert max(following) <= min(current)
+        sizes = tuple(map(len, ids))
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        assert sorted(i for group in ids for i in group) == sorted(r.record_id for r in records)
+        # the groups are the partition quintile_label describes over the (yield desc, id asc) rank
+        group_of = {i: g for g, group in enumerate(ids, start=1) for i in group}
+        ranked = sorted(records, key=lambda r: (-r.yield_value, r.record_id))
+        labels = [group_of[r.record_id] for r in ranked]
+        assert labels == [quintile_label(i, n) for i in range(n)]
+        assert labels == sorted(labels)
+        by_id = {r.record_id: r.yield_value for r in records}
+        for upper, lower in zip(ids, ids[1:]):
+            if upper and lower:
+                assert max(by_id[i] for i in lower) <= min(by_id[i] for i in upper)
 
     @given(
         st.lists(
@@ -118,8 +127,7 @@ class TestAssignGroups:
     def test_scale_invariance(self, yields, c):
         base = assign_groups(_records(yields))["Grass"]
         scaled = assign_groups(_records([y * c for y in yields]))["Grass"]
-        assert base.record_ids == scaled.record_ids
-        assert base.labels == scaled.labels
+        assert _ids(base.groups) == _ids(scaled.groups)
         stats_base = yield_group_stats(base)
         stats_scaled = yield_group_stats(scaled)
         for p1, p2 in zip(stats_base.pcts, stats_scaled.pcts):

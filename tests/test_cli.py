@@ -393,6 +393,15 @@ class TestStoreVerify:
         assert "unsupported manifest version 1" in capsys.readouterr().err
         assert (store / "manifest.json").read_text() == text
 
+    def test_manifest_entry_not_an_object_exit_two(self, tmp_path, capsys):
+        store = self._store(tmp_path)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["tables"]["Crop"] = 5
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["store", "verify", "--store", str(store)]) == 2
+        assert "unreadable manifest" in capsys.readouterr().err
+
     def test_missing_store_exit_two_creates_nothing(self, tmp_path, capsys):
         assert main(["store", "verify", "--store", str(tmp_path / "none")]) == 2
         assert "no store manifest" in capsys.readouterr().err
@@ -428,6 +437,15 @@ class TestSynth:
                           "effects": {"soil_ph": {"optimum": 6.0, "weight": -1.0, "scale": 1.0}}}]}
         config = _write(tmp_path / "bad.json", json.dumps(doc))
         assert main(["synth", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"records_per_crop": 10, "missing_rate": [], "crops": [{"name": "X", "base_yield": 10.0}]},
+        {"records_per_crop": 10, "crops": [{"name": "X", "base_yield": 10.0, "effects": []}]},
+    ], ids=["missing_rate a list", "effects a list"])
+    def test_a_list_where_a_mapping_belongs_exit_two(self, tmp_path, capsys, doc):
+        config = _write(tmp_path / "bad.json", json.dumps(doc))
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "invalid synth config" in capsys.readouterr().err
 
     def test_four_records_generates_but_mine_is_insufficient(self, tmp_path):
         config = _synth_config(tmp_path, records=4)

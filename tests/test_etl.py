@@ -595,6 +595,25 @@ class TestRunPipeline:
         assert report2.tables["Crop"].upserts_deduped == 2
         assert report2.tables["Crop"].upserts_new == 0
 
+    def test_two_sources_of_one_dimension_count_new_and_deduplicated_rows(self, tmp_path, catalog, store_dir):
+        first = _write(tmp_path, "crops_a.csv", "crop_id,crop_name\nC1,Grass\nC2,Wheat W.\nC1,Grass\n")
+        second = _write(tmp_path, "crops_b.csv", "crop_id,crop_name\nC2,Wheat W.\nC3,Grass\n,Grass\nC1,Grass\n")
+        facts = _write(tmp_path, "facts.csv", "crop_id,yield_t\nC1,8.5\nC3,7.0\n")
+        sources = [
+            (SourceDescriptor(path=first), mapping_from_dict(CROP_MAPPING)),
+            (SourceDescriptor(path=second), mapping_from_dict(CROP_MAPPING)),
+            (SourceDescriptor(path=facts), mapping_from_dict(FACT_MAPPING)),
+        ]
+        store = open_store(store_dir, catalog)
+        report = run_pipeline(sources, catalog, store)
+        counts = {
+            name: (s.rows_read, s.rows_accepted, s.rows_rejected, s.upserts_new, s.upserts_deduped)
+            for name, s in report.tables.items()
+        }
+        # Crop: 7 read, the keyless row rejected; C1, C2 and C3 new; C1 twice and C2 once again deduplicated
+        assert counts == {"Crop": (7, 6, 1, 3, 3), "FieldFact": (2, 2, 0, 0, 0)}
+        assert [r["CropID"] for r in store.snapshot().rows("Crop")] == ["C1", "C2", "C3"]
+
     def test_determinism_byte_identical(self, tmp_path, catalog):
         def run(store_name):
             sources = _pipeline_sources(

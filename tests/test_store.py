@@ -149,6 +149,17 @@ class TestFormat:
         with pytest.raises(StoreError, match=f"unsupported manifest version {version}"):
             open_store(store_dir, CATALOG)
 
+    @pytest.mark.parametrize("malformed", [
+        lambda manifest: [],
+        lambda manifest: {**manifest, "tables": []},
+        lambda manifest: {**manifest, "tables": {**manifest["tables"], "Crop": 5}},
+    ], ids=["a list", "tables a list", "an entry a number"])
+    def test_a_manifest_of_the_wrong_shape_is_unreadable(self, store_dir, malformed):
+        _small_store(store_dir)
+        (Path(store_dir) / "manifest.json").write_text(json.dumps(malformed(_manifest(store_dir))))
+        with pytest.raises(StoreError, match="unreadable manifest"):
+            open_store(store_dir, CATALOG)
+
     def test_snapshot_from_tables_digests_match_the_store(self, store_dir):
         snapshot = _small_store(store_dir).snapshot()
         rebuilt = Snapshot.from_tables(CATALOG, snapshot.tables)

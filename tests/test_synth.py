@@ -197,6 +197,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SynthConfig.from_json_file(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"records_per_crop": 10, "missing_rate": [], "crops": [{"name": "Grass", "base_yield": 12.0}]},
+        {"records_per_crop": 10, "crops": [{"name": "Grass", "base_yield": 12.0, "effects": []}]},
+    ], ids=["missing_rate a list", "effects a list"])
+    def test_a_list_where_a_mapping_belongs_is_a_config_error(self, doc):
+        with pytest.raises(ConfigError, match="invalid synth config"):
+            SynthConfig.from_dict(doc)
+
 
 class TestNullSafety:
     def test_no_effect_means_no_findings(self):
