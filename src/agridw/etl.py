@@ -19,7 +19,7 @@ from decimal import Decimal
 from importlib import resources
 from math import isfinite
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog, TableDef
 from .errors import ConfigError, MappingError, UnitConversionError
@@ -80,8 +80,7 @@ class SourceDescriptor:
             raise ConfigError("delimiter must be a single character")
 
 
-@dataclass(frozen=True)
-class RawRow:
+class RawRow(NamedTuple):
     """A raw source row: text fields by name; empty fields are absent."""
 
     source: str
@@ -191,7 +190,7 @@ def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
             continue
         names = header if header is not None else [f"col{i + 1}" for i in range(len(record))]
         fields = {name: value for name, value in zip(names, record) if value != ""}
-        yield RawRow(source=src.path, number=number, fields=fields, raw=raw)
+        yield RawRow(src.path, number, fields, raw)
 
 
 def _json_scalar_text(value) -> str | None:
@@ -232,7 +231,7 @@ def _read_record_json(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
                 text = _json_scalar_text(value)
                 if text is not None:
                     fields[str(key)] = text
-            yield RawRow(source=src.path, number=number, fields=fields, raw=raw)
+            yield RawRow(src.path, number, fields, raw)
 
 
 def read_source(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
@@ -371,11 +370,14 @@ def _compile_mapping(
         chain = []
         for t in binding.transforms:
             try:
-                chain.append(_compile_transform(t, synonyms))
+                step = _compile_transform(t, synonyms)
             except MappingError as exc:
                 problems.append(f"binding {binding.target!r}: {exc}")
+                continue
+            if step is not None:
+                chain.append(step)
         bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
-        plan.append((binding.source, attr, chain, bounds))
+        plan.append((binding.source, attr.name, attr.kind, attr.nullable, chain, bounds))
     for attr in table.attributes:
         if not attr.nullable and attr.name not in bound:
             problems.append(f"non-nullable attribute {attr.name!r} is neither bound nor constant")
@@ -401,6 +403,8 @@ class _BindingFailure(Exception):
 
 def _as_float(value) -> float:
     """A non-bool int or float as a float; anything else, or an int beyond float range, is a type error."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _BindingFailure(REASON_TYPE)
     try:
@@ -409,7 +413,9 @@ def _as_float(value) -> float:
         raise _BindingFailure(REASON_TYPE) from None
 
 
-def _parse_number(text) -> float:
+def _parse_number(text) -> float | None:
+    if text is None:
+        return None
     if not isinstance(text, str):
         value = _as_float(text)
     else:
@@ -422,12 +428,13 @@ def _parse_number(text) -> float:
     return value
 
 
-def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Callable:
-    """The step for one transform; MappingError for an unknown op or a bad parameter."""
+def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Callable | None:
+    """The step for one transform, None for a rename, which changes no value;
+    MappingError for an unknown op or a bad parameter."""
     if t.op == "rename":
-        return lambda v: v
+        return None
     if t.op == "parse-number":
-        return lambda v: None if v is None else _parse_number(v)
+        return _parse_number
     if t.op == "parse-date":
         pattern = t.params.get("pattern")
         if not isinstance(pattern, str):
@@ -510,16 +517,16 @@ class CompiledMapping:
         fields = row.fields
         limit = csv.field_size_limit()
         typed: dict[str, object] = {}
-        for source, attr, chain, bounds in self._plan:
+        for source, name, kind, nullable, chain, bounds in self._plan:
             value: object = fields.get(source)
             try:
                 for step in chain:
                     value = step(value)
                 if value is None:
-                    if not attr.nullable:
+                    if not nullable:
                         raise _BindingFailure(REASON_MISSING)
                     continue
-                if attr.kind == "number":
+                if kind == "number":
                     value = _as_float(value)
                     if bounds is not None:
                         lo, hi, lo_exclusive = bounds
@@ -527,11 +534,11 @@ class CompiledMapping:
                             raise _BindingFailure(REASON_RANGE)
                     if not isfinite(value):  # e.g. a unit conversion that overflowed
                         raise _BindingFailure(REASON_TYPE)
-                elif not isinstance(value, str) or (attr.kind != "foreign-key" and not 0 < len(value) <= limit):
+                elif not isinstance(value, str) or (kind != "foreign-key" and not 0 < len(value) <= limit):
                     raise _BindingFailure(REASON_TYPE)
             except _BindingFailure as failure:
-                return _reject(row, attr.name, failure.reason)
-            typed[attr.name] = value
+                return _reject(row, name, failure.reason)
+            typed[name] = value
         return typed
 
 
@@ -558,14 +565,15 @@ def write_reject_ledger(rejects: Sequence[RejectRecord], path: str | Path) -> Pa
 
 
 def _resolve_foreign_keys(
-    store: "Store", fk_attrs: Sequence[tuple[str, str]], row: RawRow, typed: dict
+    fk_keys: Sequence[tuple[str, Mapping[str, int]]], row: RawRow, typed: dict
 ) -> dict | RejectRecord:
-    """Replace each foreign-key value by its dimension's ``sk``; unresolved is missing-required."""
-    for attr_name, ref_table in fk_attrs:
+    """Replace each foreign-key value by its dimension's ``sk``, looked up in
+    the key map paired with its attribute; unresolved is missing-required."""
+    for attr_name, keys in fk_keys:
         raw_key = typed.get(attr_name)
         if raw_key is None:
             continue
-        sk = store.resolve_dimension(ref_table, str(raw_key))
+        sk = keys.get(raw_key)  # ``apply`` passes a foreign key only as text
         if sk is None:
             return _reject(row, attr_name, REASON_MISSING)
         typed[attr_name] = sk
@@ -581,10 +589,14 @@ def run_pipeline(
     """Load all sources: dimensions first, then facts, with a full reject ledger.
 
     Every row resolves each foreign-key value against the referenced
-    dimension's leading natural-key part and is rejected as missing-required
+    dimension's leading natural-key part, through one key map per referenced
+    table read when its source starts, and is rejected as missing-required
     when unresolved, so a dimension's source must be listed before that of
-    any dimension that references it. Dimension rows are upserted by natural
-    key (first write wins). The store is flushed after each source batch.
+    any dimension that references it. Each source's accepted rows go to the
+    store as one batch: dimension rows are upserted by natural key (first
+    write wins), fact rows inserted. A dimension that references itself is
+    written a row at a time, so that a row resolves against the earlier rows
+    of its own source. The store is flushed after each source.
     """
     synonyms = synonyms if synonyms is not None else default_synonym_tables()
     compiled: list[tuple[SourceDescriptor, CompiledMapping]] = []
@@ -600,26 +612,30 @@ def run_pipeline(
             stats = report.stats_for(table.name)
             started = time.perf_counter()
             rows_before, accepted_before = store.row_count(table.name), stats.rows_accepted
-            fact_batch: list[dict] = []
-            is_fact = table.is_fact
             fk_attrs = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
+            fk_keys = [(name, store.dimension_keys(ref)) for name, ref in fk_attrs]
+            row_at_a_time = any(ref == table.name for _, ref in fk_attrs)
+            batch: list[dict] = []
             for item in read_source(src):
                 stats.rows_read += 1
                 outcome = item if isinstance(item, RejectRecord) else mapping.apply(item)
                 if not isinstance(outcome, RejectRecord):
-                    outcome = _resolve_foreign_keys(store, fk_attrs, item, outcome)
+                    outcome = _resolve_foreign_keys(fk_keys, item, outcome)
                 if isinstance(outcome, RejectRecord):
                     stats.rows_rejected += 1
                     report.rejects.append(outcome)
                     continue
                 stats.rows_accepted += 1
-                if is_fact:
-                    fact_batch.append(outcome)
-                    continue
-                store.upsert_dimension(table.name, outcome)
-            if fact_batch:
-                store.insert_facts(table.name, fact_batch)
-            if not is_fact:  # each accepted row is new or deduplicated; the new ones grew the table
+                batch.append(outcome)
+                if row_at_a_time:
+                    store.upsert_dimensions(table.name, batch)
+                    batch = []
+                    fk_keys = [(name, store.dimension_keys(ref)) for name, ref in fk_attrs]  # the table may be new
+            if table.is_fact:
+                if batch:  # an empty one would register the table
+                    store.insert_facts(table.name, batch)
+            else:  # each accepted row is new or deduplicated; the new ones grew the table
+                store.upsert_dimensions(table.name, batch)
                 new = store.row_count(table.name) - rows_before
                 stats.upserts_new += new
                 stats.upserts_deduped += stats.rows_accepted - accepted_before - new

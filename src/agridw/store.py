@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import Catalog, TableDef, catalog_digest
@@ -191,17 +192,23 @@ class _TableState:
         self.chunks.append(data)
         self.count += rows
 
-    def encode(self, row: Mapping, limits: Mapping[str, int]) -> tuple[bytes, list[str]]:
+    def encode(self, row: Mapping, limits: Mapping[str, int], sk: int | None = None) -> tuple[bytes, list[str]]:
         """The ``data.csv`` line and cells of ``row``, checked in one pass over
         the values it sets, so the first fault in the row's key order is raised.
 
         Numbers are written through ``format_decimal``; a text longer than
         ``csv.field_size_limit()`` is refused, since ``csv.reader`` could not
         read it back. A foreign key named in ``limits`` must lie in
-        ``1..limit``. A dimension row's ``sk`` must be its 1-based position.
+        ``1..limit``. A dimension row's ``sk`` is the ``sk`` given, which the
+        row itself must not hold, or else the row's own, which must be its
+        1-based position.
         """
         where, table = self.where, self.table.name
         cells = [""] * len(where)
+        if sk is not None:
+            if SK_COLUMN in row:
+                raise StoreTypeError(f"{table}: the store assigns {SK_COLUMN!r}")
+            cells[0] = str(sk)
         for name, value in row.items():
             column = where.get(name)
             if column is None:
@@ -225,7 +232,7 @@ class _TableState:
                 if len(value) > csv.field_size_limit():
                     raise StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
                 cells[i] = csv_field(value)  # numbers and keys never need quoting
-        if self._is_dim and row.get(SK_COLUMN) != self.count + 1:
+        if self._is_dim and sk is None and row.get(SK_COLUMN) != self.count + 1:
             raise StoreTypeError(f"{table}: {SK_COLUMN} {row.get(SK_COLUMN)!r} is not the row position {self.count + 1}")
         return (",".join(cells) + "\n").encode("utf-8"), cells
 
@@ -320,7 +327,8 @@ class Store:
                 continue
             data_path = self._data_path(name)
             data_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(data_path, "ab") as handle:
+            # a table the manifest does not list yet replaces whatever file a dead writer left
+            with open(data_path, "ab" if state.written else "wb") as handle:
                 handle.write(b"".join(state.chunks[state.written:]))
             state.written = len(state.chunks)
         self._write_manifest()
@@ -358,37 +366,54 @@ class Store:
         state = self._tables.get(table_name) or _TableState(table)
         return state, {name: self.row_count(ref) for name, ref in state.foreign_keys.items()}
 
-    def upsert_dimension(self, table_name: str, row: Mapping) -> int:
-        """Insert or find by natural key; first write wins, keys stay dense.
-        A foreign key must resolve, as in ``insert_facts``."""
+    def upsert_dimensions(self, table_name: str, rows: Sequence[Mapping]) -> list[int]:
+        """Insert or find each row by natural key and return its ``sk``; the
+        first write of a key wins, within the batch and against the table, and
+        keys stay dense. A foreign key must resolve against the table as it
+        was before the batch, as in ``insert_facts``. Every row is checked,
+        a duplicate too; a faulty row rejects the whole batch."""
         state, limits = self._writable(table_name, "dimension")
-        if SK_COLUMN in row:
-            raise StoreTypeError(f"{table_name}: the store assigns {SK_COLUMN!r}")
         state.index()
-        sk = state.count + 1
-        line, cells = state.encode({SK_COLUMN: sk, **row}, limits)
-        natural = []
-        for i, part, decode in state.key_plan:  # as ``index`` reads the key back
-            if not cells[i]:
-                raise StoreTypeError(f"{table_name}: natural key part {part!r} is missing")
-            natural.append(row[part] if decode is str else str(decode(cells[i])))
-        key = tuple(natural)
-        existing = state.by_natural.get(key)
-        if existing is not None:
-            return existing
-        state.by_natural[key] = sk
-        state.by_leading.setdefault(natural[0], sk)
-        state.append(line, 1)
-        self._tables[table_name] = state
-        return sk
+        known, added = state.by_natural, {}  # added: the keys this batch appends, in sk order
+        sks, lines = [], []
+        for row in rows:
+            line, cells = state.encode(row, limits, state.count + len(lines) + 1)
+            natural = []
+            for i, part, decode in state.key_plan:  # as ``index`` reads the key back
+                if not cells[i]:
+                    raise StoreTypeError(f"{table_name}: natural key part {part!r} is missing")
+                natural.append(row[part] if decode is str else str(decode(cells[i])))
+            key = tuple(natural)
+            sk = known.get(key) or added.get(key)
+            if sk is None:
+                lines.append(line)
+                sk = added[key] = state.count + len(lines)
+            sks.append(sk)
+        if lines:
+            known.update(added)
+            for key, sk in added.items():
+                state.by_leading.setdefault(key[0], sk)
+            state.append(b"".join(lines), len(lines))
+            self._tables[table_name] = state
+        return sks
+
+    def upsert_dimension(self, table_name: str, row: Mapping) -> int:
+        """``upsert_dimensions`` of one row."""
+        return self.upsert_dimensions(table_name, [row])[0]
+
+    def dimension_keys(self, table_name: str) -> Mapping[str, int]:
+        """A read-only view of the table's ``sk`` by leading natural-key part;
+        empty for a table never written. It follows later writes to a table
+        already written."""
+        state = self._tables.get(table_name)
+        if state is None:
+            return MappingProxyType({})
+        state.index()
+        return MappingProxyType(state.by_leading)
 
     def resolve_dimension(self, table_name: str, leading_key: str) -> int | None:
         """Surrogate key whose leading natural-key part equals ``leading_key``."""
-        state = self._tables.get(table_name)
-        if state is None:
-            return None
-        state.index()
-        return state.by_leading.get(leading_key)
+        return self.dimension_keys(table_name).get(leading_key)
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
         """Append a batch atomically; a mistyped row or a dangling key rejects the whole batch."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agridw.catalog import builtin_catalog
+from agridw.catalog import AttributeDef, Catalog, TableDef, builtin_catalog, validate_catalog
 from agridw.errors import ConfigError, MappingError, UnitConversionError
 from agridw.etl import (
     Binding,
@@ -39,6 +39,20 @@ CATALOG = builtin_catalog()
 
 def _raw(fields, number=1, source="mem", raw=""):
     return RawRow(source=source, number=number, fields=fields, raw=raw)
+
+
+class TestRawRow:
+    def test_keyword_construction_names_every_field(self):
+        row = RawRow(source="s.csv", number=3, fields={"a": "1"}, raw="1")
+        assert (row.source, row.number, row.fields, row.raw) == ("s.csv", 3, {"a": "1"}, "1")
+        assert row == RawRow("s.csv", 3, {"a": "1"}, "1")
+
+    @pytest.mark.parametrize("name", ["source", "number", "fields", "raw"])
+    def test_assigning_to_a_field_raises(self, name):
+        row = _raw({"a": "1"})
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+        assert row == _raw({"a": "1"})
 
 
 # --- read_source ------------------------------------------------------------
@@ -613,6 +627,32 @@ class TestRunPipeline:
         # Crop: 7 read, the keyless row rejected; C1, C2 and C3 new; C1 twice and C2 once again deduplicated
         assert counts == {"Crop": (7, 6, 1, 3, 3), "FieldFact": (2, 2, 0, 0, 0)}
         assert [r["CropID"] for r in store.snapshot().rows("Crop")] == ["C1", "C2", "C3"]
+
+    def test_a_dimension_that_references_itself_resolves_the_earlier_rows_of_its_source(self, tmp_path, store_dir):
+        emp = TableDef(
+            name="Emp",
+            role="dimension",
+            attributes=(
+                AttributeDef(name="EmpID", kind="natural-key-part", nullable=False),
+                AttributeDef(name="BossID", kind="foreign-key", references="Emp"),
+            ),
+            natural_key=("EmpID",),
+        )
+        catalog = Catalog(version="test", tables={"Emp": emp})
+        assert validate_catalog(catalog) == []
+        source = _write(tmp_path, "emps.csv", "emp,boss\nE1,\nE2,E1\nE3,E2\n")
+        mapping = mapping_from_dict({
+            "target_table": "Emp",
+            "bindings": [{"source": "emp", "target": "EmpID"}, {"source": "boss", "target": "BossID"}],
+        })
+        store = open_store(store_dir, catalog)
+        report = run_pipeline([(SourceDescriptor(path=source), mapping)], catalog, store)
+        assert report.rejects == []
+        assert (report.tables["Emp"].rows_accepted, report.tables["Emp"].upserts_new) == (3, 3)
+        store = open_store(store_dir, catalog)
+        assert store.snapshot().columns("Emp", ["sk", "EmpID", "BossID"]) == [
+            (1, 2, 3), ("E1", "E2", "E3"), (None, 1, 2),
+        ]
 
     def test_determinism_byte_identical(self, tmp_path, catalog):
         def run(store_name):

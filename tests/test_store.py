@@ -331,6 +331,64 @@ class TestUpsert:
             store.upsert_dimension("Crop", {"CropID": "C1", "CropName": "Grass", "EstYield": "lots"})
 
 
+    def test_an_empty_batch_registers_no_table(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        assert store.upsert_dimensions("Crop", []) == []
+        store.flush()
+        assert json.loads((Path(store_dir) / "manifest.json").read_text())["tables"] == {}
+
+    def test_a_batch_deduplicates_within_itself_and_against_the_table(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        rows = [_crop("C2", "Rye"), _crop("C1", "Grass"), {**_crop("C2", "Rye"), "ScienName": "Changed"}, _crop("C3", "Oats")]
+        assert store.upsert_dimensions("Crop", rows) == [2, 1, 2, 3]
+        assert store.snapshot().columns("Crop", ["CropID", "ScienName"]) == [("C1", "C2", "C3"), (None, None, None)]
+
+
+# Field rows over few natural keys, so keys repeat within and across batches
+# with other attributes; SiteID must lie in 1..2, the two Site rows.
+_FIELD_ROW = st.fixed_dictionaries(
+    {"FieldID": st.sampled_from(["F1", "F2", 'F"3']), "FieldName": st.sampled_from(["a", "b,c"])},
+    optional={"SiteID": st.integers(1, 2), "Area": _NUMBER, "Notes": _QUOTED_TEXT},
+)
+_FAULT = st.sampled_from([{"SiteID": 3}, {"SiteID": 0}, {"Area": "lots"}, {"Notes": ""}, {"FieldName": None}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.lists(_FIELD_ROW, max_size=6), st.none() | st.tuples(st.integers(0, 6), _FAULT)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_a_batch_upsert_equals_one_upsert_per_row(batches):
+    """``upsert_dimensions`` against ``upsert_dimension`` row by row on a twin
+    store; a batch with a faulty row leaves the table as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
+        for store in stores:
+            store.upsert_dimensions("Site", [{"SiteID": "S1", "SiteName": "n"}, {"SiteID": "S2", "SiteName": "n"}])
+        batched, single = stores
+        for rows, fault in batches:
+            if fault is not None:
+                at, change = fault
+                bad = {**(rows[at] if at < len(rows) else {"FieldID": "F9", "FieldName": "z"}), **change}
+                before = batched.row_count("Field"), batched.table_digest("Field"), batched.snapshot().tables
+                with pytest.raises((StoreTypeError, DanglingKeyError)):
+                    batched.upsert_dimensions("Field", [*rows[:at], bad, *rows[at:]])
+                assert (batched.row_count("Field"), batched.table_digest("Field"), batched.snapshot().tables) == before
+            assert batched.upsert_dimensions("Field", rows) == [single.upsert_dimension("Field", row) for row in rows]
+            assert dict(batched.dimension_keys("Field")) == dict(single.dimension_keys("Field"))
+        for store in stores:
+            store.flush()
+        assert _data_files(Path(tmp) / "batched") == _data_files(Path(tmp) / "single")
+        assert batched.table_digest("Field") == single.table_digest("Field")
+        reopened = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
+        for leading in ("F1", "F2", 'F"3', "F9"):
+            assert len({store.resolve_dimension("Field", leading) for store in stores + reopened}) == 1
+
+
 class TestInsertFacts:
     def _with_crop(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -883,6 +941,21 @@ class TestFlush:
             "version": 2,
         }
         assert (Path(store_dir) / "manifest.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_a_first_flush_replaces_a_data_file_no_manifest_lists(self, tmp_path, store_dir):
+        dead = open_store(tmp_path / "dead", CATALOG)
+        dead.upsert_dimension("Crop", _crop("C9", "Grass"))
+        dead.flush()
+        open_store(store_dir, CATALOG)  # a manifest that lists no table
+        # what a writer that died before its manifest rewrite leaves behind
+        (Path(store_dir) / "Crop").mkdir()
+        (Path(store_dir) / "Crop" / "data.csv").write_bytes(_data_files(tmp_path / "dead")["Crop"])
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        store.flush()
+        reopened = open_store(store_dir, CATALOG)
+        assert reopened.snapshot().columns("Crop", ["sk", "CropID"]) == [(1,), ("C1",)]
+        assert reopened.table_digest("Crop") == store.table_digest("Crop")
 
 
 def _same_snapshot(got: Snapshot, want: Snapshot) -> None:
