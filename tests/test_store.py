@@ -330,7 +330,6 @@ class TestUpsert:
         with pytest.raises(StoreTypeError):
             store.upsert_dimension("Crop", {"CropID": "C1", "CropName": "Grass", "EstYield": "lots"})
 
-
     def test_an_empty_batch_registers_no_table(self, store_dir):
         store = open_store(store_dir, CATALOG)
         assert store.upsert_dimensions("Crop", []) == []
