@@ -155,7 +155,7 @@ def _join(snapshot: Snapshot, dimension: str, keys: Sequence[int | None], names:
     return [list(map((*column, None).__getitem__, positions)) for column in columns]
 
 
-def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None = None) -> list[YieldRecord]:
+def extract_yield_records(snapshot: Snapshot) -> list[YieldRecord]:
     """One record per FieldFact row with a yield and a resolvable crop.
 
     Each factor is read as ``FACTOR_SPECS`` says: from the joined Soil
@@ -163,7 +163,7 @@ def extract_yield_records(snapshot: Snapshot, synonyms: Mapping[str, str] | None
     stays absent. Crop names are harmonized through the builtin synonym
     table when possible. Only the columns named here are decoded.
     """
-    table = synonyms if synonyms is not None else builtin_crop_synonyms()
+    table = builtin_crop_synonyms()
     on_fact = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "FieldFact"]
     on_soil = [factor for factor, spec in FACTOR_SPECS.items() if spec.table == "Soil"]
     crop_keys, soil_keys, yields, *fact_values = snapshot.columns(

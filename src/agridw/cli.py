@@ -78,11 +78,11 @@ def _cmd_ingest(args) -> int:
     if len(args.source) != len(args.mapping):
         raise ConfigError("--source and --mapping must be given in matching pairs")
     catalog = _load_catalog_arg(args.catalog)
-    store = open_store(args.store, catalog)
     pairs = []
     for src_path, map_path in zip(args.source, args.mapping):
         fmt = FORMAT_RECORD_JSON if Path(src_path).suffix == ".jsonl" else FORMAT_DELIMITED
         pairs.append((SourceDescriptor(path=src_path, format=fmt), load_mapping(map_path)))
+    store = open_store(args.store, catalog)  # after every mapping reads, so a refused one creates no store
     load_report = run_pipeline(pairs, catalog, store)
     ledger_path = Path(args.rejects) if args.rejects else Path(args.store) / "reject_ledger.csv"
     write_reject_ledger(load_report.rejects, ledger_path)

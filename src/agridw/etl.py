@@ -350,50 +350,6 @@ def load_mapping(path: str | Path) -> MappingSpec:
     return mapping_from_dict(doc)
 
 
-def _compile_mapping(
-    spec: MappingSpec, catalog: Catalog, synonyms: Mapping[str, SynonymTable]
-) -> tuple[TableDef | None, list, list[str]]:
-    """(table, plan, problems); the plan is usable only when there are no problems."""
-    table = catalog.table(spec.target_table)
-    if table is None:
-        return None, [], [f"target_table {spec.target_table!r} not in catalog"]
-    plan, problems = [], []
-    bound: set[str] = set()
-    for binding in spec.bindings:
-        attr = table.attribute(binding.target)
-        if attr is None:
-            problems.append(f"target attribute {binding.target!r} not in table {table.name!r}")
-            continue
-        bound.add(attr.name)
-        if sum(t.op == "unit-convert" for t in binding.transforms) > 1:
-            problems.append(f"binding {binding.target!r}: at most one unit-convert allowed")
-        chain = []
-        for t in binding.transforms:
-            try:
-                step = _compile_transform(t, synonyms)
-            except MappingError as exc:
-                problems.append(f"binding {binding.target!r}: {exc}")
-                continue
-            if step is not None:
-                chain.append(step)
-        bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
-        plan.append((binding.source, attr.name, attr.kind, attr.nullable, chain, bounds))
-    for attr in table.attributes:
-        if not attr.nullable and attr.name not in bound:
-            problems.append(f"non-nullable attribute {attr.name!r} is neither bound nor constant")
-    return table, plan, problems
-
-
-def validate_mapping(
-    spec: MappingSpec,
-    catalog: Catalog,
-    synonyms: Mapping[str, SynonymTable] | None = None,
-) -> list[str]:
-    """Problems that make the spec unusable against ``catalog`` (empty = valid)."""
-    synonyms = synonyms if synonyms is not None else default_synonym_tables()
-    return _compile_mapping(spec, catalog, synonyms)[2]
-
-
 # --- applying mappings ------------------------------------------------------
 
 class _BindingFailure(Exception):
@@ -498,12 +454,40 @@ class CompiledMapping:
     """A MappingSpec checked against a catalog and compiled to closures."""
 
     def __init__(self, spec: MappingSpec, catalog: Catalog, synonyms: Mapping[str, SynonymTable] | None = None):
+        """MappingError listing every problem that makes ``spec`` unusable against ``catalog``."""
         synonyms = synonyms if synonyms is not None else default_synonym_tables()
-        table, self._plan, problems = _compile_mapping(spec, catalog, synonyms)
+        table = catalog.table(spec.target_table)
+        if table is None:
+            raise MappingError(f"mapping for {spec.target_table!r}: target_table {spec.target_table!r} not in catalog")
+        plan, problems = [], []
+        bound: set[str] = set()
+        for binding in spec.bindings:
+            attr = table.attribute(binding.target)
+            if attr is None:
+                problems.append(f"target attribute {binding.target!r} not in table {table.name!r}")
+                continue
+            bound.add(attr.name)
+            if sum(t.op == "unit-convert" for t in binding.transforms) > 1:
+                problems.append(f"binding {binding.target!r}: at most one unit-convert allowed")
+            chain = []
+            for t in binding.transforms:
+                try:
+                    step = _compile_transform(t, synonyms)
+                except MappingError as exc:
+                    problems.append(f"binding {binding.target!r}: {exc}")
+                    continue
+                if step is not None:
+                    chain.append(step)
+            bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
+            plan.append((binding.source, attr.name, attr.kind, attr.nullable, chain, bounds))
+        for attr in table.attributes:
+            if not attr.nullable and attr.name not in bound:
+                problems.append(f"non-nullable attribute {attr.name!r} is neither bound nor constant")
         if problems:
             raise MappingError(f"mapping for {spec.target_table!r}: " + "; ".join(problems))
         self.spec = spec
-        self.table: TableDef = table  # type: ignore[assignment]
+        self.table: TableDef = table
+        self._plan = plan
 
     def apply(self, row: RawRow) -> dict | RejectRecord:
         """The typed row, or the reject for the first binding that fails.
@@ -598,10 +582,7 @@ def run_pipeline(
     written a row at a time, so that a row resolves against the earlier rows
     of its own source. The store is flushed after each source.
     """
-    synonyms = synonyms if synonyms is not None else default_synonym_tables()
-    compiled: list[tuple[SourceDescriptor, CompiledMapping]] = []
-    for src, spec in sources:
-        compiled.append((src, CompiledMapping(spec, catalog, synonyms)))
+    compiled = [(src, CompiledMapping(spec, catalog, synonyms)) for src, spec in sources]
 
     report = LoadReport()
     ordered = [c for c in compiled if not c[1].table.is_fact] + [c for c in compiled if c[1].table.is_fact]
@@ -632,8 +613,7 @@ def run_pipeline(
                     batch = []
                     fk_keys = [(name, store.dimension_keys(ref)) for name, ref in fk_attrs]  # the table may be new
             if table.is_fact:
-                if batch:  # an empty one would register the table
-                    store.insert_facts(table.name, batch)
+                store.insert_facts(table.name, batch)
             else:  # each accepted row is new or deduplicated; the new ones grew the table
                 store.upsert_dimensions(table.name, batch)
                 new = store.row_count(table.name) - rows_before

@@ -76,14 +76,14 @@ class _TableState:
     """
 
     __slots__ = (
-        "table", "where", "key_plan", "foreign_keys", "header", "_is_dim", "digest_state",
+        "table", "where", "key_plan", "foreign_keys", "header", "digest_state",
         "chunks", "written", "count", "by_natural", "by_leading",
     )
 
     def __init__(self, table: TableDef):
         self.table = table
-        self._is_dim = table.role == "dimension"
-        kinds = ([(SK_COLUMN, "surrogate-key")] if self._is_dim else []) + [(a.name, a.kind) for a in table.attributes]
+        sk = [(SK_COLUMN, "surrogate-key")] if table.role == "dimension" else []
+        kinds = sk + [(a.name, a.kind) for a in table.attributes]
         where = self.where = {name: (i, kind, _DECODERS.get(kind, str)) for i, (name, kind) in enumerate(kinds)}
         self.key_plan = [(where[part][0], part, where[part][2]) for part in table.natural_key]  # (position, column, decoder)
         self.foreign_keys = {a.name: a.references for a in table.attributes if a.kind == "foreign-key"}
@@ -200,8 +200,7 @@ class _TableState:
         ``csv.field_size_limit()`` is refused, since ``csv.reader`` could not
         read it back. A foreign key named in ``limits`` must lie in
         ``1..limit``. A dimension row's ``sk`` is the ``sk`` given, which the
-        row itself must not hold, or else the row's own, which must be its
-        1-based position.
+        row itself must not hold; a fact row has no ``sk`` column.
         """
         where, table = self.where, self.table.name
         cells = [""] * len(where)
@@ -220,7 +219,7 @@ class _TableState:
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                     raise StoreTypeError(f"{table}.{name}: expected a finite number")
                 cells[i] = format_decimal(value)
-            elif decode is int:  # foreign keys and sk
+            elif decode is int:  # foreign keys
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise StoreTypeError(f"{table}.{name}: keys are integers")
                 if name in limits and not 1 <= value <= limits[name]:
@@ -232,8 +231,6 @@ class _TableState:
                 if len(value) > csv.field_size_limit():
                     raise StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
                 cells[i] = csv_field(value)  # numbers and keys never need quoting
-        if self._is_dim and sk is None and row.get(SK_COLUMN) != self.count + 1:
-            raise StoreTypeError(f"{table}: {SK_COLUMN} {row.get(SK_COLUMN)!r} is not the row position {self.count + 1}")
         return (",".join(cells) + "\n").encode("utf-8"), cells
 
     @property
@@ -416,11 +413,13 @@ class Store:
         return self.dimension_keys(table_name).get(leading_key)
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
-        """Append a batch atomically; a mistyped row or a dangling key rejects the whole batch."""
+        """Append a batch atomically; a mistyped row or a dangling key rejects
+        the whole batch, and an empty batch registers no table."""
         state, limits = self._writable(table_name, "fact")
         lines = [state.encode(row, limits)[0] for row in rows]
-        state.append(b"".join(lines), len(lines))
-        self._tables[table_name] = state
+        if lines:
+            state.append(b"".join(lines), len(lines))
+            self._tables[table_name] = state
         return len(rows)
 
     # -- reads ------------------------------------------------------------
@@ -451,10 +450,11 @@ def _combined_digest(table_digests: Mapping[str, str]) -> str:
 
 
 class Snapshot:
-    """Immutable view of the loaded warehouse at a load boundary, each table
-    held as its ``data.csv`` bytes. ``columns`` decodes only the columns asked
-    for and keeps them, so each cell is decoded at most once; ``rows`` and
-    ``tables`` are views over every column."""
+    """Immutable view of the loaded warehouse at a load boundary, taken by
+    ``Store.snapshot``: each table held as its ``data.csv`` bytes.
+    ``columns`` decodes only the columns asked for and keeps them, so each
+    cell is decoded at most once; ``rows`` and ``tables`` are views over
+    every column."""
 
     def __init__(self, catalog: Catalog, states: Mapping[str, _TableState]):
         self.catalog = catalog
@@ -499,20 +499,6 @@ class Snapshot:
             for name, column in zip(missing, state.columns(missing)):
                 self._columns[table_name, name] = tuple(column)
         return [self._columns[table_name, name] for name in names]
-
-    @classmethod
-    def from_tables(cls, catalog: Catalog, tables: Mapping[str, Sequence[Mapping]]) -> "Snapshot":
-        """Build an in-memory snapshot as the store would; a dimension row's ``sk`` is its position."""
-        states: dict[str, _TableState] = {}
-        for name, rows in tables.items():
-            table = catalog.table(name)
-            if table is None:
-                raise StoreError(f"unknown table {name!r}")
-            state = _TableState(table)
-            for row in rows:
-                state.append(state.encode(row, {})[0], 1)  # checks no key range
-            states[name] = state.frozen()
-        return cls(catalog, states)
 
 
 # --- star queries ------------------------------------------------------------

@@ -17,12 +17,11 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
-from .etl import FORMAT_DELIMITED, MappingSpec, SourceDescriptor, load_mapping
+from .etl import FORMAT_DELIMITED, MappingSpec, SourceDescriptor, convert_unit, load_mapping
 from .util import atomic_write_text, canonical_json, csv_field, fnv1a64, format_decimal
 
 FACTOR_BOUNDS: dict[str, tuple[float, float]] = {
@@ -276,11 +275,6 @@ def expected_findings(truth: GroundTruth, config: SynthConfig) -> list[ExpectedF
 
 # --- file emission -------------------------------------------------------------
 
-def _grams_text(kg_value: float) -> str:
-    """kg/ha -> g/ha as exact decimal text (values are 4-decimal quantized)."""
-    return format_decimal(float(Decimal(repr(kg_value)).scaleb(3)))
-
-
 _MAPPING_DOCS: dict[str, dict] = {
     "crops": {
         "target_table": "Crop",
@@ -381,7 +375,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GenerateResult:
                     crop_ids[r.crop],
                     sid,
                     format_decimal(r.yield_value),
-                    cell("herbicide", _grams_text(r.factors["herbicide"])),
+                    cell("herbicide", format_decimal(convert_unit(r.factors["herbicide"], "kg/ha", "g/ha"))),
                     cell("insecticide", format_decimal(r.factors["insecticide"])),
                 ]
             )

@@ -20,9 +20,9 @@ _FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes, state: int = _FNV64_OFFSET) -> int:
-    """FNV-1a 64-bit over ``data``; pass a previous result as ``state`` to stream."""
-    h = state
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit over ``data``."""
+    h = _FNV64_OFFSET
     prime = _FNV64_PRIME
     mask = _MASK64
     for b in data:

@@ -2,23 +2,26 @@
 
 The star-join oracle here is deliberately naive (literal nested loops and
 re-stated filter semantics) so it stays independent of the engine it checks.
-It reads rows the engine never decoded: the row lists a snapshot was built
-from, or ``csv_view`` of a store's ``data.csv`` files through the stdlib.
+It reads rows the engine never decoded: the row lists ``write_store`` wrote
+through the stdlib, or ``csv_view`` of a store's ``data.csv`` files.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import random
+import tempfile
 from contextlib import contextmanager
 from math import fsum
 from pathlib import Path
 
 import agridw.store as store_module
-from agridw.catalog import AttributeDef, Catalog, TableDef
+from agridw.catalog import AttributeDef, Catalog, TableDef, catalog_digest
 from agridw.etl import CompiledMapping
-from agridw.store import EqFilter, QuerySpec, RangeFilter, Snapshot
+from agridw.store import EqFilter, QuerySpec, RangeFilter, Snapshot, open_store
 
 # Mean crop yield (ton/ha) and percent vs group 3 for the 12 crops, groups 1-5.
 GROUP_TABLE_ROWS = {
@@ -63,6 +66,36 @@ def every_column(catalog: Catalog, table: str) -> list[str]:
     """A table's data.csv columns: ``sk`` first for a dimension, then its attributes."""
     table_def = catalog.table(table)
     return (["sk"] if table_def.role == "dimension" else []) + [a.name for a in table_def.attributes]
+
+
+def write_store(store_dir, catalog: Catalog, tables) -> None:
+    """Write ``tables`` (each table's row dicts, ``sk`` in each dimension row)
+    as a version-2 store through the stdlib alone, the mirror of ``csv_view``:
+    ``csv.writer`` data files, BLAKE2b digests and the manifest. A float is
+    written as ``format(v, "f")``, so a value needs at most 6 fractional
+    digits to read back. No key is checked against a table's rows."""
+    store_dir = Path(store_dir)
+    entries = {}
+    for name, rows in tables.items():
+        columns = every_column(catalog, name)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format(v, "f") if type(v) is float else v for v in map(row.get, columns)] for row in rows)
+        data = out.getvalue().encode("utf-8")
+        (store_dir / name).mkdir(parents=True)
+        (store_dir / name / "data.csv").write_bytes(data)
+        entries[name] = {"rows": len(rows), "digest": hashlib.blake2b(data, digest_size=8).hexdigest()}
+    manifest = {"catalog_digest": catalog_digest(catalog), "tables": entries, "version": 2}
+    (store_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def stored_snapshot(catalog: Catalog, tables) -> Snapshot:
+    """The snapshot of a store ``write_store`` wrote from ``tables``, opened
+    from a directory removed once the snapshot holds its bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_store(tmp, catalog, tables)
+        return open_store(tmp, catalog).snapshot()
 
 
 @contextmanager
@@ -249,7 +282,7 @@ def random_snapshot(rng: random.Random, max_facts: int = 1000, max_dims: int = 5
                 row[measure] = round(rng.uniform(-100, 100), 3)
         facts.append(row)
     tables["Fact"] = facts
-    return Snapshot.from_tables(catalog, tables), tables
+    return stored_snapshot(catalog, tables), tables
 
 
 def random_query(rng: random.Random, snapshot: Snapshot) -> QuerySpec:

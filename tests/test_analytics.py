@@ -31,7 +31,7 @@ from agridw.errors import ConfigError
 from agridw.etl import builtin_crop_synonyms, normalize_synonym
 from agridw.store import open_store
 
-from helpers import GROUP_TABLE_ROWS, column_reads, csv_view, every_column
+from helpers import GROUP_TABLE_ROWS, column_reads, csv_view, every_column, write_store
 
 CATALOG = builtin_catalog()
 
@@ -505,6 +505,27 @@ class TestExtraction:
         }
         assert records == _joined_row_by_row(csv_view(store_dir, CATALOG))
         assert [(r.record_id, r.crop) for r in records] == [(1, "Grass"), (2, "Spring Barley"), (3, "Spring Barley")]
+
+    def test_out_of_range_keys_join_no_row(self, store_dir):
+        # written around the store, which refuses such keys; open checks no key range
+        write_store(store_dir, CATALOG, {
+            "Crop": [{"sk": 1, "CropID": "C1", "CropName": "Grass"}],
+            "Soil": [{"sk": 1, "SoilID": "S1", "PH": 6.1}],
+            "FieldFact": [
+                {"CropKey": 1, "SoilKey": 1, "YieldValue": 8.0, "HerbicideQty": 1.5},
+                {"CropKey": 3, "SoilKey": 1, "YieldValue": 7.0},  # crop past the last row
+                {"CropKey": 1, "SoilKey": 0, "YieldValue": 6.0, "HerbicideQty": 2.5},
+                {"CropKey": 1, "SoilKey": 3, "YieldValue": 5.0, "HerbicideQty": 3.5},  # soil past the last row
+                {"CropKey": 1, "SoilKey": -1, "YieldValue": 4.0},
+            ],
+        })
+        records = extract_yield_records(open_store(store_dir, CATALOG).snapshot())
+        assert [(r.record_id, r.crop, r.yield_value, r.factors) for r in records] == [
+            (1, "Grass", 8.0, {"soil_ph": 6.1, "herbicide": 1.5}),
+            (3, "Grass", 6.0, {"herbicide": 2.5}),
+            (4, "Grass", 5.0, {"herbicide": 3.5}),
+            (5, "Grass", 4.0, {}),
+        ]
 
 
 def _joined_row_by_row(tables) -> list[YieldRecord]:

@@ -192,6 +192,19 @@ class TestIngest:
         crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n"])
         assert main(["ingest", "--store", str(tmp_path / "s"), "--source", crops]) == 2
 
+    @pytest.mark.parametrize("text, error", [(None, "cannot read mapping file"), ("{", "invalid JSON")],
+                             ids=["missing", "invalid JSON"])
+    def test_unreadable_mapping_exit_two_creates_no_store(self, tmp_path, capsys, text, error):
+        crops, facts, crop_map, _ = _fixture_sources(tmp_path, ["C1,8.5\n"])
+        fact_map = tmp_path / "broken.mapping.json"
+        if text is not None:
+            fact_map.write_text(text)
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map,
+                     "--source", facts, "--mapping", str(fact_map)]) == 2
+        assert error in capsys.readouterr().err
+        assert not store.exists()
+
     def test_catalog_mismatch_exit_two(self, tmp_path, capsys):
         crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n"])
         store = str(tmp_path / "store")

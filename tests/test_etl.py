@@ -27,7 +27,6 @@ from agridw.etl import (
     normalize_synonym,
     read_source,
     run_pipeline,
-    validate_mapping,
     write_reject_ledger,
 )
 from agridw.store import open_store
@@ -392,10 +391,17 @@ class TestMappingTotality:
                 ],
             }
         )
-        assert validate_mapping(spec, CATALOG) == []
+        CompiledMapping(spec, CATALOG)  # compiles
         result = apply_mapping(_raw({k: v for k, v in fields.items() if v}), spec, CATALOG)
         if not isinstance(result, RejectRecord):
             assert "CropID" in result and "CropName" in result
+
+
+def _compile_error(spec: MappingSpec) -> str:
+    """The text of the MappingError ``CompiledMapping`` raises for ``spec``."""
+    with pytest.raises(MappingError) as info:
+        CompiledMapping(spec, CATALOG)
+    return str(info.value)
 
 
 class TestValidateMapping:
@@ -403,15 +409,23 @@ class TestValidateMapping:
         spec = mapping_from_dict(
             {"target_table": "Crop", "bindings": [{"source": "x", "target": "NoSuch", "transforms": []}]}
         )
-        problems = validate_mapping(spec, CATALOG)
-        assert any("NoSuch" in p for p in problems)
+        assert _compile_error(spec) == (
+            "mapping for 'Crop': target attribute 'NoSuch' not in table 'Crop'; "
+            "non-nullable attribute 'CropID' is neither bound nor constant; "
+            "non-nullable attribute 'CropName' is neither bound nor constant"
+        )
+
+    def test_unknown_target_table(self):
+        spec = mapping_from_dict(
+            {"target_table": "Nope", "bindings": [{"source": "x", "target": "NoSuch", "transforms": []}]}
+        )
+        assert _compile_error(spec) == "mapping for 'Nope': target_table 'Nope' not in catalog"
 
     def test_unbound_non_nullable(self):
         spec = mapping_from_dict(
             {"target_table": "Crop", "bindings": [{"source": "id", "target": "CropID", "transforms": []}]}
         )
-        problems = validate_mapping(spec, CATALOG)
-        assert any("CropName" in p for p in problems)
+        assert _compile_error(spec) == "mapping for 'Crop': non-nullable attribute 'CropName' is neither bound nor constant"
 
     def test_two_unit_converts_rejected(self):
         spec = mapping_from_dict(
@@ -430,7 +444,7 @@ class TestValidateMapping:
                 ],
             }
         )
-        assert any("unit-convert" in p for p in validate_mapping(spec, CATALOG))
+        assert _compile_error(spec) == "mapping for 'FieldFact': binding 'HerbicideQty': at most one unit-convert allowed"
 
     @pytest.mark.parametrize(
         "transform, problem",
@@ -453,16 +467,14 @@ class TestValidateMapping:
                 {"source": "name", "target": "CropName"},
             ]}
         )
-        assert validate_mapping(spec, CATALOG) == [f"binding 'CropID': {problem}"]
-        with pytest.raises(MappingError, match="mapping for 'Crop': binding 'CropID': "):
-            CompiledMapping(spec, CATALOG)
+        assert _compile_error(spec) == f"mapping for 'Crop': binding 'CropID': {problem}"
 
     def test_unknown_op_built_in_code_is_a_problem(self):
         spec = MappingSpec("Crop", (
             Binding("id", "CropID", (Transform("frobnicate"),)),
             Binding("name", "CropName"),
         ))
-        assert validate_mapping(spec, CATALOG) == ["binding 'CropID': unknown transform op 'frobnicate'"]
+        assert _compile_error(spec) == "mapping for 'Crop': binding 'CropID': unknown transform op 'frobnicate'"
 
     def test_compiled_mapping_raises_on_problems(self):
         spec = mapping_from_dict(

@@ -30,6 +30,7 @@ from helpers import (
     random_snapshot,
     rows_equal,
     sort_rows,
+    stored_snapshot,
 )
 
 
@@ -86,7 +87,7 @@ def _edge_tables(*names: str) -> dict:
 
 def _same_as_oracle(tables: dict, q: QuerySpec, catalog=_EDGE_CATALOG) -> list:
     """The engine's rows over a snapshot of ``tables``, checked against the oracle over ``tables`` itself."""
-    got = star_query(Snapshot.from_tables(catalog, tables), q)
+    got = star_query(stored_snapshot(catalog, tables), q)
     assert (got.columns, got.rows) == nested_loop_star_query(catalog, tables, q)
     return got.rows
 

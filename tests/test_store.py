@@ -82,6 +82,18 @@ def _data_files(store_dir) -> dict[str, bytes]:
     return {p.parent.name: p.read_bytes() for p in sorted(Path(store_dir).glob("*/data.csv"))}
 
 
+def _rewritten(snapshot, path) -> Snapshot:
+    """The snapshot of a twin store at ``path`` holding ``snapshot``'s decoded
+    rows written again: each dimension's rows less ``sk``, then the facts."""
+    twin = open_store(path, CATALOG)
+    for name, rows in sorted(snapshot.tables.items(), key=lambda item: CATALOG.table(item[0]).is_fact):
+        if CATALOG.table(name).is_fact:
+            twin.insert_facts(name, rows)
+        else:
+            twin.upsert_dimensions(name, [{k: v for k, v in row.items() if k != "sk"} for row in rows])
+    return twin.snapshot()
+
+
 def _small_store(store_dir):
     store = open_store(store_dir, CATALOG)
     store.upsert_dimension("Crop", {**_crop("C1", "Grass"), "EstYield": 20.5, "ScienName": 'Poa "annua", L.'})
@@ -160,9 +172,9 @@ class TestFormat:
         with pytest.raises(StoreError, match="unreadable manifest"):
             open_store(store_dir, CATALOG)
 
-    def test_snapshot_from_tables_digests_match_the_store(self, store_dir):
+    def test_decoded_rows_written_again_match_the_store_digests(self, store_dir, tmp_path):
         snapshot = _small_store(store_dir).snapshot()
-        rebuilt = Snapshot.from_tables(CATALOG, snapshot.tables)
+        rebuilt = _rewritten(snapshot, tmp_path / "twin")
         assert rebuilt.table_digests == snapshot.table_digests
         assert rebuilt.digest == snapshot.digest
         for name, data in _data_files(store_dir).items():
@@ -236,7 +248,7 @@ def test_live_reopened_and_rebuilt_snapshots_are_equal(crops, facts):
         store.flush()
         live = store.snapshot()
         reopened = open_store(Path(tmp) / "store", CATALOG).snapshot()
-        rebuilt = Snapshot.from_tables(CATALOG, live.tables)
+        rebuilt = _rewritten(live, Path(tmp) / "twin")
         assert reopened.tables == live.tables
         assert rebuilt.tables == live.tables
         assert reopened.table_digests == live.table_digests == rebuilt.table_digests
@@ -261,29 +273,6 @@ class TestKeptRows:
             store.insert_facts("FieldFact", rows)
         assert store.row_count("FieldFact") == 0
         assert "FieldFact" not in store.snapshot().tables
-
-
-class TestFromTablesKeys:
-    @pytest.mark.parametrize(
-        "sks",
-        [[2, 1], [1, 3], [0], [1, 1], [None], ["1"], [True]],
-        ids=["reordered", "gapped", "zero", "repeated", "missing", "text", "bool"],
-    )
-    def test_dimension_rows_need_sk_equal_to_position(self, sks):
-        rows = [{**_crop(f"C{i}", f"Crop {i}"), "sk": sk} for i, sk in enumerate(sks, 1)]
-        for row in rows:
-            if row["sk"] is None:
-                del row["sk"]
-        with pytest.raises(StoreTypeError, match="Crop"):
-            Snapshot.from_tables(CATALOG, {"Crop": rows})
-
-    def test_sk_on_a_fact_row_is_refused(self):
-        with pytest.raises(StoreTypeError, match="FieldFact"):
-            Snapshot.from_tables(CATALOG, {"FieldFact": [{"sk": 1, "YieldValue": 8.0}]})
-
-    def test_dense_sk_is_accepted(self):
-        rows = [{"sk": 1, **_crop("C1", "Grass")}, {"sk": 2, **_crop("C2", "Winter Rye")}]
-        assert Snapshot.from_tables(CATALOG, {"Crop": rows}).rows("Crop") == tuple(rows)
 
 
 class TestUpsert:
@@ -409,6 +398,15 @@ class TestInsertFacts:
     def test_empty_batch(self, store_dir):
         store = self._with_crop(store_dir)
         assert store.insert_facts("FieldFact", []) == 0
+        store.flush()
+        assert not (Path(store_dir) / "FieldFact").exists()
+        assert "FieldFact" not in _manifest(store_dir)["tables"]
+
+    def test_sk_on_a_fact_row_is_refused(self, store_dir):
+        store = self._with_crop(store_dir)
+        with pytest.raises(StoreTypeError, match="FieldFact"):
+            store.insert_facts("FieldFact", [{"sk": 1, "CropKey": 1, "YieldValue": 8.0}])
+        assert store.row_count("FieldFact") == 0
 
 
 class TestFirstFaultInKeyOrder:
