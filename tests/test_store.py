@@ -275,6 +275,33 @@ class TestKeptRows:
         assert "FieldFact" not in store.snapshot().tables
 
 
+class TestStoreAssignsSk:
+    @pytest.mark.parametrize(
+        "sks",
+        [[2, 1], [1, 3], [0], [1, 1], [None, 2], ["1"], [True], [1, 2]],
+        ids=["reordered", "gapped", "zero", "repeated", "mixed", "text", "bool", "positional"],
+    )
+    def test_a_batch_with_a_row_holding_sk_is_refused(self, store_dir, sks):
+        rows = [{**_crop(f"C{i}", f"Crop {i}"), "sk": sk} for i, sk in enumerate(sks, 1)]
+        for row in rows:
+            if row["sk"] is None:
+                del row["sk"]
+        store = open_store(store_dir, CATALOG)
+        with pytest.raises(StoreTypeError, match="Crop"):
+            store.upsert_dimensions("Crop", rows)
+        assert store.row_count("Crop") == 0
+
+    def test_dense_sk_is_written_and_read_back(self, store_dir):
+        rows = [_crop("C1", "Grass"), _crop("C2", "Winter Rye"), _crop("C1", "Grass")]
+        store = open_store(store_dir, CATALOG)
+        assert store.upsert_dimensions("Crop", rows) == [1, 2, 1]
+        store.flush()
+        expected = ({"sk": 1, **rows[0]}, {"sk": 2, **rows[1]})
+        assert store.snapshot().rows("Crop") == expected
+        assert open_store(store_dir, CATALOG).snapshot().rows("Crop") == expected
+        assert csv_view(store_dir, CATALOG)["Crop"] == expected
+
+
 class TestUpsert:
     def test_caller_supplied_sk_is_refused(self, store_dir):
         store = open_store(store_dir, CATALOG)
