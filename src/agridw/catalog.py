@@ -35,6 +35,9 @@ ATTRIBUTE_KINDS = frozenset(
     }
 )
 
+# Kinds the store holds as numbers, not text; a natural-key part has none of them.
+NON_TEXT_KINDS = frozenset({"surrogate-key", "foreign-key", "number"})
+
 ROLE_FACT = "fact"
 ROLE_DIMENSION = "dimension"
 
@@ -325,6 +328,8 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
             for part in table.natural_key:
                 if part not in attr_names:
                     flag(table.name, part, "unknown-natural-key", "natural key names a missing attribute")
+                elif (kind := table.attribute(part).kind) in NON_TEXT_KINDS:
+                    flag(table.name, part, "natural-key-not-text", f"natural-key part has kind {kind!r}; keys are text")
 
     out.sort(key=lambda v: (v.table, v.rule, v.attribute or ""))
     return out

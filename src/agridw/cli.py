@@ -12,11 +12,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import analytics, report, synth
+from . import analytics, etl, report, synth
 from .catalog import builtin_catalog, catalog_digest, load_catalog, validate_catalog
 from .errors import AgriDwError, ConfigError, StoreError
 from .etl import FORMAT_DELIMITED, FORMAT_RECORD_JSON, SourceDescriptor, load_mapping, run_pipeline, write_reject_ledger
-from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, Store, open_store
+from .store import DATA_NAME, MANIFEST_NAME, MANIFEST_VERSION, SK_COLUMN, Store, open_store
 
 
 # Output file suffix per report format; also the `analyze --format` choices.
@@ -82,7 +82,9 @@ def _cmd_ingest(args) -> int:
     for src_path, map_path in zip(args.source, args.mapping):
         fmt = FORMAT_RECORD_JSON if Path(src_path).suffix == ".jsonl" else FORMAT_DELIMITED
         pairs.append((SourceDescriptor(path=src_path, format=fmt), load_mapping(map_path)))
-    store = open_store(args.store, catalog)  # after every mapping reads, so a refused one creates no store
+    for _, spec in pairs:
+        etl.CompiledMapping(spec, catalog)  # raises for a mapping that does not fit the catalog
+    store = open_store(args.store, catalog)  # after every mapping compiles, so a refused one creates no store
     load_report = run_pipeline(pairs, catalog, store)
     ledger_path = Path(args.rejects) if args.rejects else Path(args.store) / "reject_ledger.csv"
     write_reject_ledger(load_report.rejects, ledger_path)
@@ -130,13 +132,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_keys(snapshot, table) -> None:
+    """What joins rely on: a dimension's ``sk`` column is 1..N in order and each
+    foreign key is absent or in ``1..row_count`` of its table; else a StoreError naming the column."""
+    names, rows = snapshot.column_names(table.name), snapshot.row_count(table.name)
+    columns = dict(zip(names, snapshot.columns(table.name, names)))
+    if SK_COLUMN in columns and columns[SK_COLUMN] != tuple(range(1, rows + 1)):
+        raise StoreError(f"{table.name}.{SK_COLUMN}: the keys are not the row positions 1..{rows}")
+    for attr in (a for a in table.attributes if a.kind == "foreign-key"):
+        limit = snapshot.row_count(attr.references)
+        if any(key is not None and not 1 <= key <= limit for key in columns[attr.name]):
+            raise StoreError(f"{table.name}.{attr.name}: a key outside 1..{limit} of {attr.references!r}")
+
+
 def _cmd_store_verify(args) -> int:
     store = _open_existing_store(args)
-    snapshot = store.snapshot()  # open checks digests, headers and row counts; columns() below decodes every cell
+    snapshot = store.snapshot()  # open checks digests, headers and row counts; _check_keys decodes every cell
     print(f"manifest version {MANIFEST_VERSION}")
     names = sorted(snapshot.table_digests)
     for name in names:
-        snapshot.columns(name, snapshot.column_names(name))
+        _check_keys(snapshot, store.catalog.table(name))
         size = (store.path / name / DATA_NAME).stat().st_size
         print(f"{name}: {snapshot.row_count(name)} rows, {size} bytes, digest {snapshot.table_digests[name]}")
     print(f"store ok: {len(names)} tables verified")

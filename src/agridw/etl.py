@@ -64,12 +64,11 @@ TRANSFORM_OPS = ("rename", "parse-number", "parse-date", "unit-convert", "synony
 
 @dataclass(frozen=True)
 class SourceDescriptor:
-    """One raw input file. Encoding is always UTF-8."""
+    """One raw input file, always UTF-8; a delimited one starts with its header row."""
 
     path: str
     format: str = FORMAT_DELIMITED
     delimiter: str = ","
-    has_header: bool = True
 
     def __post_init__(self):
         if not self.path:
@@ -169,17 +168,15 @@ class LoadReport:
 def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
     with open(src.path, "r", encoding="utf-8-sig", newline="") as handle:
         records = csv_records(handle.read(), src.delimiter)
-    header: list[str] | None = None
-    if src.has_header:
-        header, _ = next(records, ([], ""))
-        if header is None:
-            raise ConfigError(f"source {src.path}: unreadable header: a cell longer than csv.field_size_limit()")
+    header, _ = next(records, ([], ""))
+    if header is None:
+        raise ConfigError(f"source {src.path}: unreadable header: a cell longer than csv.field_size_limit()")
     number = 0
     for record, raw in records:
         if record == []:  # blank line
             continue
         number += 1
-        if record is None or header is not None and len(record) != len(header):
+        if record is None or len(record) != len(header):
             yield RejectRecord(
                 source=src.path,
                 row=number,
@@ -188,8 +185,7 @@ def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
                 raw=raw,
             )
             continue
-        names = header if header is not None else [f"col{i + 1}" for i in range(len(record))]
-        fields = {name: value for name, value in zip(names, record) if value != ""}
+        fields = {name: value for name, value in zip(header, record) if value != ""}
         yield RawRow(src.path, number, fields, raw)
 
 
@@ -262,9 +258,6 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     return float(Decimal(repr(value)).scaleb(shift))
 
 
-SynonymTable = Mapping[str, str]
-
-
 def load_synonym_table(path: str | Path) -> dict[str, str]:
     """Two-column delimited text (variant, canonical) -> lowercase lookup map.
 
@@ -293,13 +286,9 @@ def builtin_crop_synonyms() -> dict[str, str]:
         return load_synonym_table(p)
 
 
-def normalize_synonym(value: str, table: SynonymTable) -> str | None:
+def normalize_synonym(value: str, table: Mapping[str, str]) -> str | None:
     """Canonical form for ``value`` (case-insensitive, trimmed), or None on a miss."""
     return table.get(value.strip().lower())
-
-
-def default_synonym_tables() -> dict[str, SynonymTable]:
-    return {"crop-names": builtin_crop_synonyms()}
 
 
 # --- mapping spec ----------------------------------------------------------
@@ -384,7 +373,7 @@ def _parse_number(text) -> float | None:
     return value
 
 
-def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Callable | None:
+def _compile_transform(t: Transform) -> Callable | None:
     """The step for one transform, None for a rename, which changes no value;
     MappingError for an unknown op or a bad parameter."""
     if t.op == "rename":
@@ -423,9 +412,9 @@ def _compile_transform(t: Transform, synonyms: Mapping[str, SynonymTable]) -> Ca
         return unit_convert
     if t.op == "synonym":
         name = t.params.get("table")
-        if not isinstance(name, str) or name not in synonyms:
+        if name != "crop-names":  # the builtin table is the only one
             raise MappingError(f"unknown synonym table {name!r}")
-        table = synonyms[name]
+        table = builtin_crop_synonyms()
 
         def lookup(v):
             if v is None:
@@ -453,9 +442,8 @@ def _reject(row: RawRow, binding: str, reason: str) -> RejectRecord:
 class CompiledMapping:
     """A MappingSpec checked against a catalog and compiled to closures."""
 
-    def __init__(self, spec: MappingSpec, catalog: Catalog, synonyms: Mapping[str, SynonymTable] | None = None):
+    def __init__(self, spec: MappingSpec, catalog: Catalog):
         """MappingError listing every problem that makes ``spec`` unusable against ``catalog``."""
-        synonyms = synonyms if synonyms is not None else default_synonym_tables()
         table = catalog.table(spec.target_table)
         if table is None:
             raise MappingError(f"mapping for {spec.target_table!r}: target_table {spec.target_table!r} not in catalog")
@@ -472,7 +460,7 @@ class CompiledMapping:
             chain = []
             for t in binding.transforms:
                 try:
-                    step = _compile_transform(t, synonyms)
+                    step = _compile_transform(t)
                 except MappingError as exc:
                     problems.append(f"binding {binding.target!r}: {exc}")
                     continue
@@ -564,12 +552,7 @@ def _resolve_foreign_keys(
     return typed
 
 
-def run_pipeline(
-    sources: Sequence[tuple[SourceDescriptor, MappingSpec]],
-    catalog: Catalog,
-    store: "Store",
-    synonyms: Mapping[str, SynonymTable] | None = None,
-) -> LoadReport:
+def run_pipeline(sources: Sequence[tuple[SourceDescriptor, MappingSpec]], catalog: Catalog, store: "Store") -> LoadReport:
     """Load all sources: dimensions first, then facts, with a full reject ledger.
 
     Every row resolves each foreign-key value against the referenced
@@ -582,7 +565,7 @@ def run_pipeline(
     written a row at a time, so that a row resolves against the earlier rows
     of its own source. The store is flushed after each source.
     """
-    compiled = [(src, CompiledMapping(spec, catalog, synonyms)) for src, spec in sources]
+    compiled = [(src, CompiledMapping(spec, catalog)) for src, spec in sources]
 
     report = LoadReport()
     ordered = [c for c in compiled if not c[1].table.is_fact] + [c for c in compiled if c[1].table.is_fact]

@@ -29,7 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .catalog import Catalog, TableDef, catalog_digest
+from .catalog import NON_TEXT_KINDS, Catalog, TableDef, catalog_digest
 from .errors import (
     CatalogMismatchError,
     DanglingKeyError,
@@ -51,9 +51,8 @@ AGGREGATE_OPS = ("count", "sum", "mean", "min", "max")
 
 _DECODERS = {"surrogate-key": int, "foreign-key": int, "number": float}
 _FLOAT_MAX = sys.float_info.max  # compared with, since isfinite raises OverflowError on an int beyond float range
-# Kinds whose cells are bare digits, signs, points and commas: every byte
+# The bytes of a table whose cells are all of ``NON_TEXT_KINDS``: every byte
 # ``format_decimal`` and ``str(int)`` emit, never a quote or a newline.
-_KEY_AND_NUMBER_KINDS = frozenset({"surrogate-key", "foreign-key", "number"})
 _KEY_AND_NUMBER_BODY = re.compile(rb"[-0-9.,\n]*")
 
 
@@ -76,7 +75,7 @@ class _TableState:
     """
 
     __slots__ = (
-        "table", "where", "key_plan", "foreign_keys", "header", "digest_state",
+        "table", "where", "foreign_keys", "header", "digest_state",
         "chunks", "written", "count", "by_natural", "by_leading",
     )
 
@@ -85,7 +84,6 @@ class _TableState:
         sk = [(SK_COLUMN, "surrogate-key")] if table.role == "dimension" else []
         kinds = sk + [(a.name, a.kind) for a in table.attributes]
         where = self.where = {name: (i, kind, _DECODERS.get(kind, str)) for i, (name, kind) in enumerate(kinds)}
-        self.key_plan = [(where[part][0], part, where[part][2]) for part in table.natural_key]  # (position, column, decoder)
         self.foreign_keys = {a.name: a.references for a in table.attributes if a.kind == "foreign-key"}
         self.header = csv_line(where).encode("utf-8")
         self.digest_state = _blake2b64(self.header)
@@ -107,7 +105,7 @@ class _TableState:
         name, start = self.table.name, len(self.header)
         if not data.startswith(self.header):
             raise StoreError(f"table {name!r}: unexpected header {data[:start]!r}")
-        if all(kind in _KEY_AND_NUMBER_KINDS for _, kind, _ in self.where.values()):
+        if all(kind in NON_TEXT_KINDS for _, kind, _ in self.where.values()):
             if _KEY_AND_NUMBER_BODY.fullmatch(data, start) is None:
                 raise StoreError(f"table {name!r}: unreadable data file: a cell is not a key or a number")
         if data.find(b'"', start) < 0 and data.find(b"\r", start) < 0:  # no quoted cell: each "\n" ends a record
@@ -143,10 +141,7 @@ class _TableState:
         the ``sk`` of a row is its position, and the first row of a key wins."""
         if self.by_natural is not None:
             return
-        columns = [
-            column if decode is str else list(map(str, column))
-            for column, (_, _, decode) in zip(self.columns([name for _, name, _ in self.key_plan]), self.key_plan)
-        ]
+        columns = self.columns(self.table.natural_key)
         # reversed, so that a key's first row is the one dict() keeps
         sks = range(self.count, 0, -1)
         self.by_natural = dict(zip(reversed(list(zip(*columns))), sks))
@@ -242,6 +237,10 @@ class Store:
     """One warehouse directory bound to a catalog. Not thread-safe for writes."""
 
     def __init__(self, path: Path, catalog: Catalog):
+        for table in catalog.dimensions():  # natural keys are text: refused before anything is read or made
+            for part in table.natural_key:
+                if (attr := table.attribute(part)) is not None and attr.kind in NON_TEXT_KINDS:
+                    raise StoreError(f"{table.name}.{part}: a natural-key part is text, not {attr.kind!r}")
         self.path = Path(path)
         self.catalog = catalog
         self.catalog_digest = catalog_digest(catalog)
@@ -372,15 +371,13 @@ class Store:
         state, limits = self._writable(table_name, "dimension")
         state.index()
         known, added = state.by_natural, {}  # added: the keys this batch appends, in sk order
+        natural_key = state.table.natural_key
         sks, lines = [], []
         for row in rows:
-            line, cells = state.encode(row, limits, state.count + len(lines) + 1)
-            natural = []
-            for i, part, decode in state.key_plan:  # as ``index`` reads the key back
-                if not cells[i]:
-                    raise StoreTypeError(f"{table_name}: natural key part {part!r} is missing")
-                natural.append(row[part] if decode is str else str(decode(cells[i])))
-            key = tuple(natural)
+            line = state.encode(row, limits, state.count + len(lines) + 1)[0]
+            key = tuple(map(row.get, natural_key))  # text, as ``encode`` checked it
+            if None in key:
+                raise StoreTypeError(f"{table_name}: natural key part {natural_key[key.index(None)]!r} is missing")
             sk = known.get(key) or added.get(key)
             if sk is None:
                 lines.append(line)
@@ -407,10 +404,6 @@ class Store:
             return MappingProxyType({})
         state.index()
         return MappingProxyType(state.by_leading)
-
-    def resolve_dimension(self, table_name: str, leading_key: str) -> int | None:
-        """Surrogate key whose leading natural-key part equals ``leading_key``."""
-        return self.dimension_keys(table_name).get(leading_key)
 
     def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
         """Append a batch atomically; a mistyped row or a dangling key rejects

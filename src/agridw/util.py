@@ -53,17 +53,17 @@ def format_decimal(value: float) -> str:
     return text
 
 
-def csv_field(value: str, delimiter: str = ",") -> str:
-    """RFC 4180 minimal quoting for a single field."""
+def csv_field(value: str) -> str:
+    """RFC 4180 minimal quoting for a single comma-delimited field."""
     if '"' in value:
         return '"' + value.replace('"', '""') + '"'
-    if delimiter in value or "\n" in value or "\r" in value:
+    if "," in value or "\n" in value or "\r" in value:
         return '"' + value + '"'
     return value
 
 
-def csv_line(values: Iterable[str], delimiter: str = ",") -> str:
-    return delimiter.join(csv_field(v, delimiter) for v in values) + "\n"
+def csv_line(values: Iterable[str]) -> str:
+    return ",".join(map(csv_field, values)) + "\n"
 
 
 def csv_records(text: str, delimiter: str = ",", maxsplit: int = -1) -> Iterator[tuple[list[str] | None, str]]:

@@ -40,9 +40,9 @@ GROUP_TABLE_ROWS = {
 }
 
 
-def apply_mapping(row, spec, catalog, synonyms=None):
+def apply_mapping(row, spec, catalog):
     """Compile ``spec`` and transform one raw row: typed dict, or the first binding's RejectRecord."""
-    return CompiledMapping(spec, catalog, synonyms).apply(row)
+    return CompiledMapping(spec, catalog).apply(row)
 
 
 # --- independent views of stored tables --------------------------------------

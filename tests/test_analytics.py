@@ -416,6 +416,20 @@ class TestWelchOracle:
         verdict, _ = is_discriminative(same, SignificanceRule(kind="welch-t", alpha=0.05))
         assert verdict == "not-discriminative"
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_welch_rule_contrasts_group_one_with_group_five_alone(self, alpha):
+        # every group differs from the others in count, mean and sd
+        stats = _stats((7.2, 6.9, 6.5, 6.2, 6.0), counts=(12, 9, 10, 11, 6), sds=(0.3, 0.9, 0.5, 0.4, 0.8))
+        t_stat, _, p = welch_t_from_summary(12, 7.2, 0.3, 6, 6.0, 0.8)
+        assert 0.01 < p < 0.05  # so the verdict turns on alpha
+        verdict, stat = is_discriminative(stats, SignificanceRule(kind="welch-t", alpha=alpha))
+        assert (verdict, stat) == ("optimal" if p < alpha else "not-discriminative", t_stat)
+
+    @pytest.mark.parametrize("counts", [(1, 9, 10, 11, 6), (12, 9, 10, 11, 1)])
+    def test_welch_rule_needs_two_values_per_side_whatever_min_count(self, counts):
+        stats = _stats((7.2, 6.9, 6.5, 6.2, 6.0), counts=counts, sds=(None, 0.9, 0.5, 0.4, 0.8))
+        assert is_discriminative(stats, SignificanceRule(kind="welch-t", min_count=1)) == ("insufficient-data", None)
+
 
 # --- extraction ----------------------------------------------------------------------
 
@@ -587,6 +601,15 @@ class TestMineOptima:
         assert ph.verdict == "not-discriminative"
         # the group-1 mean still sits on the planted value
         assert abs(ph.evidence.group_means[0] - 6.5) <= 0.25
+
+    def test_the_optimum_is_the_rounded_group_one_mean(self):
+        # five records per group by yield; the group means of pH are 6.07, 7.0, 7.5, 7.75 and 8.0
+        phs = [6.0, 6.04, 6.1, 6.1, 6.11] + [7.0] * 5 + [7.5] * 5 + [7.75] * 5 + [8.0] * 5
+        records = _records(list(range(25, 0, -1)), factors=[{"soil_ph": ph} for ph in phs])
+        ph = next(f for f in mine_optima_from_records(records) if f.factor == "soil_ph")
+        assert ph.verdict == "optimal"
+        assert ph.evidence.group_means[:2] == pytest.approx((6.07, 7.0))
+        assert ph.value == round_optimal_value("soil_ph", ph.evidence.group_means[0]) == 6.1
 
     def test_identical_means_not_discriminative(self):
         records = _records(

@@ -241,6 +241,27 @@ class TestValidation:
         rules = {v.rule for v in validate_catalog(cat)}
         assert "unit-on-non-number" in rules
 
+    @pytest.mark.parametrize("kind, flagged", [
+        ("number", True), ("foreign-key", True), ("surrogate-key", True),
+        ("natural-key-part", False), ("text", False), ("date", False), ("enum", False),
+    ])
+    def test_a_natural_key_part_is_text(self, kind, flagged):
+        cat = Catalog(
+            version="t",
+            tables={
+                "D": _table(
+                    name="D", role="dimension",
+                    attributes=(
+                        AttributeDef(name="ID", kind="natural-key-part", nullable=False),
+                        AttributeDef(name="No", kind=kind, references="D" if kind == "foreign-key" else None),
+                    ),
+                    natural_key=("ID", "No"),
+                ),
+            },
+        )
+        found = [(v.table, v.attribute) for v in validate_catalog(cat) if v.rule == "natural-key-not-text"]
+        assert found == ([("D", "No")] if flagged else [])
+
     def test_order_independent(self, catalog):
         names = list(catalog.tables)
         rng = random.Random(7)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +20,8 @@ from agridw.errors import ConfigError
 from agridw.report import load_findings
 from agridw.store import open_store
 from agridw.util import fnv1a64
+
+from helpers import write_store
 
 
 def _write(path: Path, text: str) -> str:
@@ -72,6 +75,15 @@ def _synth_config(tmp_path, records=60, seed=3):
     return _write(tmp_path / "synth.json", json.dumps(doc))
 
 
+def _number_key_catalog(tmp_path) -> str:
+    """The builtin catalog with Crop's natural-key part CropID a number."""
+    catalog = builtin_catalog()
+    crop = catalog.table("Crop")
+    attributes = tuple(dataclasses.replace(a, kind="number") if a.name == "CropID" else a for a in crop.attributes)
+    tables = {**catalog.tables, "Crop": dataclasses.replace(crop, attributes=attributes)}
+    return str(save_catalog(type(catalog)(version=catalog.version, tables=tables), tmp_path / "number-key.json"))
+
+
 class TestParseRule:
     def test_omitted_parts_take_the_rule_defaults(self):
         assert _parse_rule("gap") == SignificanceRule()
@@ -100,6 +112,10 @@ class TestCatalogValidate:
         path.write_text(text)
         assert main(["catalog", "validate", "--catalog", str(path)]) == 1
         assert "dangling-ref" in capsys.readouterr().out
+
+    def test_natural_key_part_that_is_not_text_exit_one(self, tmp_path, capsys):
+        assert main(["catalog", "validate", "--catalog", _number_key_catalog(tmp_path)]) == 1
+        assert "Crop.CropID: [natural-key-not-text]" in capsys.readouterr().out
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["catalog", "validate", "--catalog", str(tmp_path / "nope.json")]) == 2
@@ -203,6 +219,25 @@ class TestIngest:
         assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map,
                      "--source", facts, "--mapping", str(fact_map)]) == 2
         assert error in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_mapping_that_does_not_fit_the_catalog_exit_two_creates_no_store(self, tmp_path, capsys):
+        crops, facts, crop_map, _ = _fixture_sources(tmp_path, ["C1,8.5\n"])
+        misfit = _write(tmp_path / "misfit.mapping.json", json.dumps(
+            {"target_table": "Nope", "bindings": [{"source": "crop_id", "target": "CropKey"}]}
+        ))
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--source", crops, "--mapping", crop_map,
+                     "--source", facts, "--mapping", misfit]) == 2
+        assert "target_table 'Nope' not in catalog" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_natural_key_part_that_is_not_text_exit_two_creates_no_store(self, tmp_path, capsys):
+        crops, _, crop_map, _ = _fixture_sources(tmp_path, ["C1,8.5\n"])
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--catalog", _number_key_catalog(tmp_path),
+                     "--source", crops, "--mapping", crop_map]) == 2
+        assert "Crop.CropID" in capsys.readouterr().err
         assert not store.exists()
 
     def test_catalog_mismatch_exit_two(self, tmp_path, capsys):
@@ -414,6 +449,23 @@ class TestStoreVerify:
         capsys.readouterr()
         assert main(["store", "verify", "--store", str(store)]) == 2
         assert "unreadable manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sks, key, error", [
+        ((1, 2), 2, None),
+        ((2, 1), 1, "Crop.sk"),
+        ((1, 2), 7, "FieldFact.CropKey"),
+        ((1, 2), 0, "FieldFact.CropKey"),
+    ], ids=["good", "sk out of order", "key past the table", "key zero"])
+    def test_keys_joins_rely_on_are_checked(self, tmp_path, capsys, sks, key, error):
+        crops = [{"sk": sk, "CropID": f"C{i}", "CropName": "Grass"} for i, sk in enumerate(sks, 1)]
+        write_store(tmp_path / "store", builtin_catalog(),
+                    {"Crop": crops, "FieldFact": [{"CropKey": key, "YieldValue": 8.0}, {"YieldValue": 9.0}]})
+        code = main(["store", "verify", "--store", str(tmp_path / "store")])
+        captured = capsys.readouterr()
+        if error is None:
+            assert code == 0 and captured.out.endswith("store ok: 2 tables verified\n")
+        else:
+            assert code == 2 and f"error: {error}:" in captured.err
 
     def test_missing_store_exit_two_creates_nothing(self, tmp_path, capsys):
         assert main(["store", "verify", "--store", str(tmp_path / "none")]) == 2

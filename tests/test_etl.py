@@ -93,12 +93,6 @@ class TestReadSource:
         rows = list(read_source(SourceDescriptor(path=str(path))))
         assert rows[0].fields == {"a": "1", "b": "2"}
 
-    def test_headerless_positional_names(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text("1,2\n")
-        rows = list(read_source(SourceDescriptor(path=str(path), has_header=False)))
-        assert rows[0].fields == {"col1": "1", "col2": "2"}
-
     def test_record_json_lines(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"a": 1, "b": "x", "c": null}\nnot json\n{"a": 2}\n')
@@ -168,6 +162,14 @@ class TestSynonyms:
             "Winter Rye", "Spring Wheat", "Winter Wheat",
         }
         assert canonical <= set(table.values())
+
+    def test_a_table_with_no_header_row_keeps_its_first_row(self, tmp_path):
+        path = tmp_path / "synonyms.csv"
+        path.write_text("Wheat W.,Winter Wheat\nOats W.,Winter Oats\n")
+        assert load_synonym_table(path) == {
+            "wheat w.": "Winter Wheat", "winter wheat": "Winter Wheat",
+            "oats w.": "Winter Oats", "winter oats": "Winter Oats",
+        }
 
     def test_quoted_crlf_in_a_variant_stays_in_the_cell(self, tmp_path):
         path = tmp_path / "synonyms.csv"
@@ -248,6 +250,36 @@ class TestApplyMapping:
         assert ok == {"SoilID": "S1", "PH": 6.5}
         reject = apply_mapping(_raw({"sid": "S1", "ph": "12"}), spec, CATALOG)
         assert isinstance(reject, RejectRecord) and reject.reason == "range-error"
+
+    @pytest.mark.parametrize("table, target, text, reason", [
+        ("Soil", "PH", "3.0", None), ("Soil", "PH", "10.0", None),
+        ("Soil", "Phosphorus", "0", None), ("Soil", "Phosphorus", "10000", None),
+        ("FieldFact", "YieldValue", "200", None), ("FieldFact", "YieldValue", "0", "range-error"),
+    ])
+    def test_range_ends(self, table, target, text, reason):
+        keys = [{"source": "id", "target": "SoilID"}] if table == "Soil" else []
+        spec = mapping_from_dict({
+            "target_table": table,
+            "bindings": keys + [{"source": "v", "target": target, "transforms": [{"op": "parse-number"}]}],
+        })
+        got = apply_mapping(_raw({"id": "S1", "v": text}), spec, CATALOG)
+        if reason is None:
+            assert got[target] == float(text)
+        else:
+            assert isinstance(got, RejectRecord) and (got.binding, got.reason) == (target, reason)
+
+    @pytest.mark.parametrize("length", [1, csv.field_size_limit(), csv.field_size_limit() + 1])
+    def test_text_length_ends(self, length):
+        spec = mapping_from_dict({
+            "target_table": "Crop",
+            "bindings": [{"source": "id", "target": "CropID"}, {"source": "name", "target": "CropName"}],
+        })
+        name = "x" * length
+        got = apply_mapping(_raw({"id": "C1", "name": name}), spec, CATALOG)
+        if length <= csv.field_size_limit():
+            assert got == {"CropID": "C1", "CropName": name}
+        else:
+            assert isinstance(got, RejectRecord) and (got.binding, got.reason) == ("CropName", "type-error")
 
     def test_missing_required(self):
         spec = mapping_from_dict(

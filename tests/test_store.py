@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from agridw.store import (
 from agridw.etl import run_pipeline
 from agridw.util import csv_records, format_decimal
 
-from helpers import column_reads, csv_view, every_column
+from helpers import column_reads, csv_view, every_column, nested_loop_star_query, stored_snapshot
 
 CATALOG = builtin_catalog()
 
@@ -60,13 +62,30 @@ class TestOpenStore:
         reopened = open_store(store_dir, CATALOG)
         assert reopened.table_digest("Crop") == digest
         assert reopened.row_count("Crop") == 2
-        assert reopened.resolve_dimension("Crop", "C2") == 2
+        assert reopened.dimension_keys("Crop").get("C2") == 2
 
     def test_catalog_mismatch(self, store_dir):
         store = open_store(store_dir, CATALOG)
         store.flush()
         edited = Catalog(version="edited", tables=CATALOG.tables)
         with pytest.raises(CatalogMismatchError):
+            open_store(store_dir, edited)
+
+    @pytest.mark.parametrize("kind", ["number", "foreign-key", "surrogate-key"])
+    def test_a_catalog_with_a_natural_key_part_that_is_not_text_is_refused_first(self, store_dir, kind):
+        crop = CATALOG.table("Crop")
+        attributes = tuple(
+            dataclasses.replace(a, kind=kind, references="Crop" if kind == "foreign-key" else None)
+            if a.name == "CropID" else a for a in crop.attributes
+        )
+        tables = {**CATALOG.tables, "Crop": dataclasses.replace(crop, attributes=attributes)}
+        edited = Catalog(version=CATALOG.version, tables=tables)
+        with pytest.raises(StoreError, match=f"Crop.CropID: .*{kind!r}"):
+            open_store(store_dir, edited)
+        assert not store_dir.exists()
+        store_dir.mkdir()
+        (store_dir / "manifest.json").write_text("not json")  # refused before the manifest is read
+        with pytest.raises(StoreError, match="Crop.CropID"):
             open_store(store_dir, edited)
 
 
@@ -401,7 +420,7 @@ def test_a_batch_upsert_equals_one_upsert_per_row(batches):
         assert batched.table_digest("Field") == single.table_digest("Field")
         reopened = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
         for leading in ("F1", "F2", 'F"3', "F9"):
-            assert len({store.resolve_dimension("Field", leading) for store in stores + reopened}) == 1
+            assert len({store.dimension_keys("Field").get(leading) for store in stores + reopened}) == 1
 
 
 class TestInsertFacts:
@@ -617,6 +636,60 @@ class TestStarQuery:
             star_query(snap, q)
 
 
+class TestBoundaries:
+    """The edges each store check draws, value by value."""
+
+    TABLES = {
+        "Crop": [
+            {"sk": 1, **_crop("C1", "Grass"), "EstYield": 20.0},
+            {"sk": 2, **_crop("C2", "Winter Rye"), "EstYield": 35.0},
+        ],
+        "FieldFact": [{"CropKey": 1, "YieldValue": 8.0}, {"CropKey": 2, "YieldValue": 30.0}],
+    }
+
+    @pytest.mark.parametrize("lo, hi, crops", [
+        (20.0, None, ["Grass", "Winter Rye"]), (None, 20.0, ["Grass"]), (20.0, 20.0, ["Grass"]),
+        (35.0, None, ["Winter Rye"]), (None, 35.0, ["Grass", "Winter Rye"]),
+    ])
+    def test_a_range_bound_equal_to_a_stored_value_keeps_its_row(self, lo, hi, crops):
+        q = QuerySpec(
+            fact="FieldFact",
+            joins=(DimensionJoin("Crop", (RangeFilter("EstYield", lo=lo, hi=hi),)),),
+            project=("Crop.CropName", "YieldValue"),
+        )
+        got = star_query(stored_snapshot(CATALOG, self.TABLES), q)
+        _, want = nested_loop_star_query(CATALOG, self.TABLES, q)
+        assert got.rows == want
+        assert [crop for crop, _ in want] == crops
+
+    @pytest.mark.parametrize("write, table, row", [
+        ("upsert_dimensions", "FieldFact", {"YieldValue": 1.0}),
+        ("insert_facts", "Crop", _crop("C1", "Grass")),
+        ("upsert_dimensions", "Nope", _crop("C1", "Grass")),
+        ("insert_facts", "Nope", {"YieldValue": 1.0}),
+    ])
+    def test_a_write_to_a_table_of_the_other_role_or_none_is_a_store_error(self, store_dir, write, table, row):
+        store = open_store(store_dir, CATALOG)
+        with pytest.raises(StoreError, match=repr(table)):
+            getattr(store, write)(table, [row])
+        assert store.row_count(table) == 0
+
+    @pytest.mark.parametrize("key", [True, 1.0])
+    def test_a_bool_or_float_foreign_key_is_a_type_error(self, store_dir, key):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        with pytest.raises(StoreTypeError, match="FieldFact.CropKey"):
+            store.insert_facts("FieldFact", [{"CropKey": key, "YieldValue": 8.0}])
+
+    def test_the_largest_finite_floats_are_stored_and_read_back(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        values = [sys.float_info.max, -sys.float_info.max]
+        store.insert_facts("FieldFact", [{"YieldValue": v} for v in values])
+        store.flush()
+        for opened in (store, open_store(store_dir, CATALOG)):
+            assert list(opened.snapshot().columns("FieldFact", ["YieldValue"])[0]) == values
+
+
 class TestAggregateConsistency:
     def test_mean_equals_sum_over_count(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -705,7 +778,7 @@ class TestLazyReopen:
         store.flush()
         _forge(store_dir, "Soil", b",6.5,", b",x6.5,")
         reopened = open_store(store_dir, CATALOG)  # the natural-key pass decodes no PH cell
-        assert reopened.resolve_dimension("Soil", "S2") == 2
+        assert reopened.dimension_keys("Soil").get("S2") == 2
         snapshot = reopened.snapshot()  # holds the bytes; decodes nothing
         assert snapshot.columns("Soil", ["SoilID"]) == [("S1", "S2")]
         with pytest.raises(StoreError, match="Soil"):
@@ -748,7 +821,7 @@ class TestLazyReopen:
         store.flush()
         _forge(store_dir, "Field", b"\n1,F1,", b"\n1,F\r1,")  # unquoted, as no writer leaves it
         with pytest.raises(StoreError, match="Field"):
-            open_store(store_dir, CATALOG).resolve_dimension("Field", "F2")
+            open_store(store_dir, CATALOG).dimension_keys("Field").get("F2")
 
     def test_soil_record_cut_before_its_key_is_a_store_error(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -759,7 +832,7 @@ class TestLazyReopen:
         assert last.startswith(b"2,S2,")
         _forge(store_dir, "Soil", b"\n" + last + b"\n", b"\n2\n")  # the row count still matches
         with pytest.raises(StoreError, match="Soil"):
-            open_store(store_dir, CATALOG).resolve_dimension("Soil", "S1")
+            open_store(store_dir, CATALOG).dimension_keys("Soil").get("S1")
 
     def test_undecodable_natural_key_pass_names_the_table(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -767,7 +840,7 @@ class TestLazyReopen:
         store.flush()
         _forge(store_dir, "Crop", b"\n1,C1", b"\n1,\xffC1")  # not UTF-8
         with pytest.raises(StoreError, match="Crop"):
-            open_store(store_dir, CATALOG).resolve_dimension("Crop", "C1")
+            open_store(store_dir, CATALOG).dimension_keys("Crop").get("C1")
 
     @pytest.mark.parametrize("table", ["Crop", "FieldFact"])
     def test_row_count_disagreeing_with_the_file_is_a_store_error(self, store_dir, table):
@@ -909,7 +982,7 @@ def test_reopened_dimension_keys_resolve_as_live(rows, later):
         live.flush()
         reopened = open_store(Path(tmp) / "store", CATALOG)
         for table, leading, _ in rows + later:
-            assert reopened.resolve_dimension(table, leading) == live.resolve_dimension(table, leading)
+            assert reopened.dimension_keys(table).get(leading) == live.dimension_keys(table).get(leading)
         for table, leading, second in rows + later:
             row = dict(zip(_DIMENSION_KEYS[table], (leading, second)))
             assert reopened.upsert_dimension(table, row) == live.upsert_dimension(table, row)
@@ -928,7 +1001,7 @@ class TestFlush:
         store = _small_store(store_dir)
         if reopen:
             store = open_store(store_dir, CATALOG)
-            assert store.resolve_dimension("Crop", "C2") == 2
+            assert store.dimension_keys("Crop").get("C2") == 2
             store.insert_facts("FieldFact", [])
         path = Path(store_dir) / "manifest.json"
         before = path.read_bytes(), path.stat()
@@ -997,7 +1070,7 @@ class TestOneRepresentation:
         store.flush()
         assert b'"' not in _data_files(store_dir)["Crop"]  # read by line and comma
         store = open_store(store_dir, CATALOG)
-        assert store.resolve_dimension("Crop", "C2") == 2
+        assert store.dimension_keys("Crop").get("C2") == 2
         row = {**_crop("C3", 'Oats "naked"'), "ScienName": 'Avena "nuda",\nL.'}
         assert store.upsert_dimension("Crop", row) == 3  # the table now needs csv.reader
         live = store.snapshot()
