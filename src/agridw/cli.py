@@ -62,12 +62,16 @@ def _parse_rule(text: str) -> analytics.SignificanceRule:
     return analytics.SignificanceRule(kind=kind, **given)
 
 
+def _violation_text(v) -> str:
+    attr = f".{v.attribute}" if v.attribute else ""
+    return f"{v.table}{attr}: [{v.rule}] {v.message}"
+
+
 def _cmd_catalog_validate(args) -> int:
     catalog = _load_catalog_arg(args.catalog)
     violations = validate_catalog(catalog)
     for v in violations:
-        attr = f".{v.attribute}" if v.attribute else ""
-        print(f"{v.table}{attr}: [{v.rule}] {v.message}")
+        print(_violation_text(v))
     if violations:
         return 1
     print(f"catalog ok: {len(catalog.tables)} tables, digest {catalog_digest(catalog)}")
@@ -78,6 +82,9 @@ def _cmd_ingest(args) -> int:
     if len(args.source) != len(args.mapping):
         raise ConfigError("--source and --mapping must be given in matching pairs")
     catalog = _load_catalog_arg(args.catalog)
+    violations = validate_catalog(catalog) if args.catalog is not None else []  # the builtin one is checked at load
+    if violations:  # before the store is opened, so a broken catalog creates no store
+        raise ConfigError(f"catalog {args.catalog} violates its rules: " + "; ".join(map(_violation_text, violations)))
     pairs = []
     for src_path, map_path in zip(args.source, args.mapping):
         fmt = FORMAT_RECORD_JSON if Path(src_path).suffix == ".jsonl" else FORMAT_DELIMITED

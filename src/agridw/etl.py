@@ -19,10 +19,13 @@ from decimal import Decimal
 from importlib import resources
 from math import isfinite
 from pathlib import Path
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog, TableDef
 from .errors import ConfigError, MappingError, UnitConversionError
+from .store import Batch
 from .util import atomic_write_text, csv_line, csv_records
 
 if TYPE_CHECKING:
@@ -165,28 +168,45 @@ class LoadReport:
 
 # --- reading sources ------------------------------------------------------
 
-def _read_delimited(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
+class SourceColumns(NamedTuple):
+    """A source read whole. Each row ``csv_records`` or the JSON reader
+    frames is numbered from 1; a malformed one is a structural reject, and
+    each other one has its number and raw text at one position of
+    ``numbers`` and ``raws`` and its cells at the same position of
+    ``columns``: one list per source column, None for an empty field."""
+
+    numbers: list[int]
+    raws: list[str]
+    columns: dict[str, list[str | None]]
+    rejects: list[RejectRecord]
+
+
+def _reject(source: str, number: int, raw: str, binding: str = STRUCTURAL_BINDING, reason: str = REASON_TYPE) -> RejectRecord:
+    """The reject of row ``number``; a structural one unless a binding is named."""
+    return RejectRecord(source=source, row=number, binding=binding, reason=reason, raw=raw)
+
+
+def _read_delimited(src: SourceDescriptor) -> SourceColumns:
     with open(src.path, "r", encoding="utf-8-sig", newline="") as handle:
         records = csv_records(handle.read(), src.delimiter)
     header, _ = next(records, ([], ""))
     if header is None:
         raise ConfigError(f"source {src.path}: unreadable header: a cell longer than csv.field_size_limit()")
-    number = 0
-    for record, raw in records:
-        if record == []:  # blank line
-            continue
-        number += 1
-        if record is None or len(record) != len(header):
-            yield RejectRecord(
-                source=src.path,
-                row=number,
-                binding=STRUCTURAL_BINDING,
-                reason=REASON_TYPE,
-                raw=raw,
-            )
-            continue
-        fields = {name: value for name, value in zip(header, record) if value != ""}
-        yield RawRow(src.path, number, fields, raw)
+    records = [record for record in records if record[0] != []]  # a blank line is no row
+    width = len(header)
+    numbers = [number for number, (cells, _) in enumerate(records, 1) if cells is not None and len(cells) == width]
+    rejects = []
+    if len(numbers) < len(records):
+        kept = set(numbers)
+        rejects = [_reject(src.path, number, raw) for number, (_, raw) in enumerate(records, 1) if number not in kept]
+        records = [records[number - 1] for number in numbers]
+    columns: dict[str, list[str | None]] = {}
+    for name, cells in zip(header, zip(*map(itemgetter(0), records)) if records else [()] * width):
+        cells = [cell or None for cell in cells]
+        # a name the header repeats takes, in each row, its last non-empty cell
+        columns[name] = cells if name not in columns else [
+            cell if cell is not None else earlier for earlier, cell in zip(columns[name], cells)]
+    return SourceColumns(numbers, list(map(itemgetter(1), records)), columns, rejects)
 
 
 def _json_scalar_text(value) -> str | None:
@@ -201,7 +221,8 @@ def _json_scalar_text(value) -> str | None:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _read_record_json(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
+def _read_record_json(src: SourceDescriptor) -> SourceColumns:
+    numbers, raws, rows, rejects = [], [], [], []
     with open(src.path, "r", encoding="utf-8-sig") as handle:
         number = 0
         for line in handle:
@@ -214,27 +235,34 @@ def _read_record_json(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
             except json.JSONDecodeError:
                 record = None
             if not isinstance(record, dict):
-                yield RejectRecord(
-                    source=src.path,
-                    row=number,
-                    binding=STRUCTURAL_BINDING,
-                    reason=REASON_TYPE,
-                    raw=raw,
-                )
+                rejects.append(_reject(src.path, number, raw))
                 continue
-            fields = {}
-            for key, value in record.items():
-                text = _json_scalar_text(value)
-                if text is not None:
-                    fields[str(key)] = text
-            yield RawRow(src.path, number, fields, raw)
+            numbers.append(number)
+            raws.append(raw)
+            rows.append({str(key): text for key, value in record.items() if (text := _json_scalar_text(value)) is not None})
+    columns = {name: [row.get(name) for row in rows] for name in dict.fromkeys(chain.from_iterable(rows))}
+    return SourceColumns(numbers, raws, columns, rejects)
 
 
-def read_source(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
-    """Stream raw rows in file order; malformed rows yield structural rejects."""
+def read_columns(src: SourceDescriptor) -> SourceColumns:
+    """Read a source whole, as columns; malformed rows are structural rejects."""
     if src.format == FORMAT_RECORD_JSON:
         return _read_record_json(src)
     return _read_delimited(src)
+
+
+def read_source(src: SourceDescriptor) -> Iterator[RawRow | RejectRecord]:
+    """The raw rows and structural rejects of ``read_columns``, in file order,
+    each row's empty fields left out."""
+    source = read_columns(src)
+    names = list(source.columns)
+    items: list[RawRow | RejectRecord] = [None] * (len(source.numbers) + len(source.rejects))
+    for reject in source.rejects:
+        items[reject.row - 1] = reject
+    cells = zip(*source.columns.values()) if names else repeat(())
+    for number, raw, values in zip(source.numbers, source.raws, cells):
+        items[number - 1] = RawRow(src.path, number, {n: v for n, v in zip(names, values) if v is not None}, raw)
+    return iter(items)
 
 
 # --- unit conversion and synonyms -----------------------------------------
@@ -340,10 +368,36 @@ def load_mapping(path: str | Path) -> MappingSpec:
 
 
 # --- applying mappings ------------------------------------------------------
+#
+# A mapping runs a column at a time. A step takes a column of values and a
+# dict of the positions failed so far with their reasons, and returns the
+# column after it. Each rule is stated once, for one value (a function that
+# raises ``_BindingFailure``); where a column can be passed at C speed, a
+# ``fast`` function gives the same column or None, and None sends the
+# column through the rule value by value.
 
 class _BindingFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
+
+
+def _stepped(rule: Callable, fast: Callable | None = None) -> Callable:
+    """``rule`` as a step over a column. A value it fails is None after it,
+    and its reason is kept unless its position failed an earlier step."""
+    def step(values: list, failed: dict[int, str]) -> list:
+        out = fast(values) if fast is not None else None
+        if out is not None:
+            return out
+        out = []
+        for i, value in enumerate(values):
+            try:
+                out.append(rule(value))
+            except _BindingFailure as failure:
+                failed.setdefault(i, failure.reason)
+                out.append(None)
+        return out
+
+    return step
 
 
 def _as_float(value) -> float:
@@ -373,13 +427,24 @@ def _parse_number(text) -> float | None:
     return value
 
 
+def _parse_numbers(values: list) -> list | None:
+    """``_parse_number`` over a column of text that parses and is finite."""
+    if not set(map(type, values)) <= {str, type(None)}:
+        return None
+    try:
+        out = [None if text is None else float(text) for text in values]
+    except ValueError:
+        return None
+    return out if all(map(isfinite, filter(None, out))) else None  # filter(None) leaves out None and the zeros
+
+
 def _compile_transform(t: Transform) -> Callable | None:
     """The step for one transform, None for a rename, which changes no value;
     MappingError for an unknown op or a bad parameter."""
     if t.op == "rename":
         return None
     if t.op == "parse-number":
-        return _parse_number
+        return _stepped(_parse_number, _parse_numbers)
     if t.op == "parse-date":
         pattern = t.params.get("pattern")
         if not isinstance(pattern, str):
@@ -393,7 +458,7 @@ def _compile_transform(t: Transform) -> Callable | None:
             except ValueError:
                 raise _BindingFailure(REASON_TYPE) from None
 
-        return parse_date
+        return _stepped(parse_date)
     if t.op == "unit-convert":
         from_unit, to_unit = t.params.get("from"), t.params.get("to")
         if not isinstance(from_unit, str) or not isinstance(to_unit, str):
@@ -409,7 +474,7 @@ def _compile_transform(t: Transform) -> Callable | None:
             except UnitConversionError:
                 raise _BindingFailure(REASON_UNIT) from None
 
-        return unit_convert
+        return _stepped(unit_convert)
     if t.op == "synonym":
         name = t.params.get("table")
         if name != "crop-names":  # the builtin table is the only one
@@ -424,23 +489,63 @@ def _compile_transform(t: Transform) -> Callable | None:
                 raise _BindingFailure(REASON_SYNONYM)
             return hit
 
-        return lookup
+        return _stepped(lookup)
     if t.op in ("constant", "nullable-default"):
         if "value" not in t.params:
             raise MappingError(f"{t.op} needs a value")
         value = t.params["value"]
         if t.op == "constant":
-            return lambda v: value
-        return lambda v: value if v is None else v
+            return lambda values, failed: [value] * len(values)
+        return lambda values, failed: [value if v is None else v for v in values]
     raise MappingError(f"unknown transform op {t.op!r}")
 
 
-def _reject(row: RawRow, binding: str, reason: str) -> RejectRecord:
-    return RejectRecord(source=row.source, row=row.number, binding=binding, reason=reason, raw=row.raw)
+def _compile_check(kind: str, nullable: bool, bounds: tuple[float, float, bool] | None) -> Callable:
+    """The step that ends a binding's chain: missing-required, then for a
+    number the type, range and finiteness checks, and for any other kind the
+    text check: a foreign key's text is resolved later, and any other text
+    must be one the store holds, non-empty and no longer than
+    ``csv.field_size_limit()``."""
+    def check(value):
+        if value is None:
+            if not nullable:
+                raise _BindingFailure(REASON_MISSING)
+            return None
+        if kind == "number":
+            value = _as_float(value)
+            if bounds is not None:
+                lo, hi, lo_exclusive = bounds
+                if value < lo or value > hi or (lo_exclusive and value == lo):
+                    raise _BindingFailure(REASON_RANGE)
+            if not isfinite(value):  # e.g. a unit conversion that overflowed
+                raise _BindingFailure(REASON_TYPE)
+        elif not isinstance(value, str) or (kind != "foreign-key" and not 0 < len(value) <= csv.field_size_limit()):
+            raise _BindingFailure(REASON_TYPE)
+        return value
+
+    def passed(values):
+        present = values if None not in values else [v for v in values if v is not None]
+        if len(present) < len(values) and not nullable:
+            return None
+        types = set(map(type, present))
+        if kind == "number":
+            if not types <= {float} or not all(map(isfinite, present)):
+                return None
+            if present and bounds is not None:
+                lo, hi, lo_exclusive = bounds
+                low = min(present)
+                if low < lo or max(present) > hi or (lo_exclusive and low == lo):
+                    return None
+        elif not types <= {str} or kind != "foreign-key" and (
+                "" in present or max(map(len, present), default=0) > csv.field_size_limit()):
+            return None
+        return values
+
+    return _stepped(check, passed)
 
 
 class CompiledMapping:
-    """A MappingSpec checked against a catalog and compiled to closures."""
+    """A MappingSpec checked against a catalog and compiled to column steps."""
 
     def __init__(self, spec: MappingSpec, catalog: Catalog):
         """MappingError listing every problem that makes ``spec`` unusable against ``catalog``."""
@@ -457,7 +562,7 @@ class CompiledMapping:
             bound.add(attr.name)
             if sum(t.op == "unit-convert" for t in binding.transforms) > 1:
                 problems.append(f"binding {binding.target!r}: at most one unit-convert allowed")
-            chain = []
+            steps = []
             for t in binding.transforms:
                 try:
                     step = _compile_transform(t)
@@ -465,9 +570,10 @@ class CompiledMapping:
                     problems.append(f"binding {binding.target!r}: {exc}")
                     continue
                 if step is not None:
-                    chain.append(step)
+                    steps.append(step)
             bounds = RANGE_BOUNDS.get(attr.unit) if attr.kind == "number" and attr.unit else None
-            plan.append((binding.source, attr.name, attr.kind, attr.nullable, chain, bounds))
+            steps.append(_compile_check(attr.kind, attr.nullable, bounds))
+            plan.append((binding.source, attr.name, steps))
         for attr in table.attributes:
             if not attr.nullable and attr.name not in bound:
                 problems.append(f"non-nullable attribute {attr.name!r} is neither bound nor constant")
@@ -477,41 +583,30 @@ class CompiledMapping:
         self.table: TableDef = table
         self._plan = plan
 
-    def apply(self, row: RawRow) -> dict | RejectRecord:
-        """The typed row, or the reject for the first binding that fails.
+    def map_columns(self, columns: Mapping[str, list], count: int) -> tuple[list[tuple[str, list]], dict[int, tuple[str, str]]]:
+        """Each binding's target and typed column, in binding order, and the
+        ``(binding, reason)`` of each failed position: that of the first
+        binding that fails it. ``columns`` holds one list of ``count`` values
+        per source column, None where absent. Each binding runs its transform
+        chain over its column, then the checks ``_compile_check`` states."""
+        typed, failed = [], {}
+        for source, name, steps in self._plan:
+            values = columns.get(source) or [None] * count
+            reasons: dict[int, str] = {}
+            for step in steps:
+                values = step(values, reasons)
+            for i, reason in reasons.items():
+                failed.setdefault(i, (name, reason))
+            typed.append((name, values))
+        return typed, failed
 
-        Each binding runs its transform chain, then the missing-required check,
-        then for a number attribute the type, range and finiteness checks, and
-        for any other attribute the text check: a foreign key's text is
-        resolved later, and any other text must be one the store holds,
-        non-empty and no longer than ``csv.field_size_limit()``.
-        """
-        fields = row.fields
-        limit = csv.field_size_limit()
-        typed: dict[str, object] = {}
-        for source, name, kind, nullable, chain, bounds in self._plan:
-            value: object = fields.get(source)
-            try:
-                for step in chain:
-                    value = step(value)
-                if value is None:
-                    if not nullable:
-                        raise _BindingFailure(REASON_MISSING)
-                    continue
-                if kind == "number":
-                    value = _as_float(value)
-                    if bounds is not None:
-                        lo, hi, lo_exclusive = bounds
-                        if value < lo or value > hi or (lo_exclusive and value == lo):
-                            raise _BindingFailure(REASON_RANGE)
-                    if not isfinite(value):  # e.g. a unit conversion that overflowed
-                        raise _BindingFailure(REASON_TYPE)
-                elif not isinstance(value, str) or (kind != "foreign-key" and not 0 < len(value) <= limit):
-                    raise _BindingFailure(REASON_TYPE)
-            except _BindingFailure as failure:
-                return _reject(row, name, failure.reason)
-            typed[name] = value
-        return typed
+    def apply(self, row: RawRow) -> dict | RejectRecord:
+        """The typed row, or the reject for the first binding that fails:
+        ``map_columns`` over the one row."""
+        typed, failed = self.map_columns({name: [value] for name, value in row.fields.items()}, 1)
+        if failed:
+            return _reject(row.source, row.number, row.raw, *failed[0])
+        return {name: values[0] for name, values in typed if values[0] is not None}
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -537,33 +632,47 @@ def write_reject_ledger(rejects: Sequence[RejectRecord], path: str | Path) -> Pa
 
 
 def _resolve_foreign_keys(
-    fk_keys: Sequence[tuple[str, Mapping[str, int]]], row: RawRow, typed: dict
-) -> dict | RejectRecord:
-    """Replace each foreign-key value by its dimension's ``sk``, looked up in
-    the key map paired with its attribute; unresolved is missing-required."""
+    fk_keys: Sequence[tuple[str, Mapping[str, int]]], columns: dict[str, list], failed: dict[int, tuple[str, str]]
+) -> None:
+    """Replace each foreign-key column by the ``sk`` of each value, looked up
+    in the key map paired with its attribute, one column at a time in
+    attribute order; a value that resolves to nothing fails its position as
+    missing-required, unless the position failed already."""
     for attr_name, keys in fk_keys:
-        raw_key = typed.get(attr_name)
-        if raw_key is None:
+        texts = columns.get(attr_name)
+        if texts is None:
             continue
-        sk = keys.get(raw_key)  # ``apply`` passes a foreign key only as text
-        if sk is None:
-            return _reject(row, attr_name, REASON_MISSING)
-        typed[attr_name] = sk
-    return typed
+        sks = columns[attr_name] = list(map(keys.get, texts))  # ``map_columns`` passes a foreign key only as text
+        if sks.count(None) != texts.count(None):
+            for i, (text, sk) in enumerate(zip(texts, sks)):
+                if sk is None and text is not None:
+                    failed.setdefault(i, (attr_name, REASON_MISSING))
+
+
+def _merged(typed: list[tuple[str, list]]) -> dict[str, list]:
+    """One column per attribute: an attribute bound twice takes, in each
+    row, the later binding's value unless that is None."""
+    columns: dict[str, list] = {}
+    for name, values in typed:
+        earlier = columns.get(name)
+        columns[name] = values if earlier is None else [e if v is None else v for e, v in zip(earlier, values)]
+    return columns
 
 
 def run_pipeline(sources: Sequence[tuple[SourceDescriptor, MappingSpec]], catalog: Catalog, store: "Store") -> LoadReport:
     """Load all sources: dimensions first, then facts, with a full reject ledger.
 
+    Each source is read whole as columns and mapped a column at a time.
     Every row resolves each foreign-key value against the referenced
     dimension's leading natural-key part, through one key map per referenced
     table read when its source starts, and is rejected as missing-required
     when unresolved, so a dimension's source must be listed before that of
     any dimension that references it. Each source's accepted rows go to the
-    store as one batch: dimension rows are upserted by natural key (first
+    store as one ``Batch``: dimension rows are upserted by natural key (first
     write wins), fact rows inserted. A dimension that references itself is
     written a row at a time, so that a row resolves against the earlier rows
-    of its own source. The store is flushed after each source.
+    of its own source. The store is flushed after each source, and a
+    source's rejects are reported in row order.
     """
     compiled = [(src, CompiledMapping(spec, catalog)) for src, spec in sources]
 
@@ -575,33 +684,46 @@ def run_pipeline(sources: Sequence[tuple[SourceDescriptor, MappingSpec]], catalo
             table = mapping.table
             stats = report.stats_for(table.name)
             started = time.perf_counter()
-            rows_before, accepted_before = store.row_count(table.name), stats.rows_accepted
+            rows_before = store.row_count(table.name)
             fk_attrs = [(a.name, a.references) for a in table.attributes if a.kind == "foreign-key"]
             fk_keys = [(name, store.dimension_keys(ref)) for name, ref in fk_attrs]
-            row_at_a_time = any(ref == table.name for _, ref in fk_attrs)
-            batch: list[dict] = []
-            for item in read_source(src):
-                stats.rows_read += 1
-                outcome = item if isinstance(item, RejectRecord) else mapping.apply(item)
-                if not isinstance(outcome, RejectRecord):
-                    outcome = _resolve_foreign_keys(fk_keys, item, outcome)
-                if isinstance(outcome, RejectRecord):
-                    stats.rows_rejected += 1
-                    report.rejects.append(outcome)
-                    continue
-                stats.rows_accepted += 1
-                batch.append(outcome)
-                if row_at_a_time:
-                    store.upsert_dimensions(table.name, batch)
-                    batch = []
+            source = read_columns(src)
+            count = len(source.numbers)
+            typed, failed = mapping.map_columns(source.columns, count)
+            columns = _merged(typed)
+            if any(ref == table.name for _, ref in fk_attrs):
+                for i in range(count):
+                    if i in failed:
+                        continue
+                    row, unresolved = {name: [values[i]] for name, values in columns.items()}, {}
+                    _resolve_foreign_keys(fk_keys, row, unresolved)
+                    if unresolved:
+                        failed[i] = unresolved[0]
+                        continue
+                    store.upsert_dimensions(table.name, Batch(row, 1))
                     fk_keys = [(name, store.dimension_keys(ref)) for name, ref in fk_attrs]  # the table may be new
-            if table.is_fact:
-                store.insert_facts(table.name, batch)
-            else:  # each accepted row is new or deduplicated; the new ones grew the table
-                store.upsert_dimensions(table.name, batch)
+            else:
+                _resolve_foreign_keys(fk_keys, columns, failed)
+                if failed:
+                    kept = [i for i in range(count) if i not in failed]
+                    columns = {name: [values[i] for i in kept] for name, values in columns.items()}
+                batch = Batch(columns, count - len(failed))
+                if table.is_fact:
+                    store.insert_facts(table.name, batch)
+                else:
+                    store.upsert_dimensions(table.name, batch)
+            rejects = source.rejects + [
+                _reject(src.path, source.numbers[i], source.raws[i], binding, reason)
+                for i, (binding, reason) in failed.items()
+            ]
+            report.rejects.extend(sorted(rejects, key=attrgetter("row")))
+            stats.rows_read += count + len(source.rejects)
+            stats.rows_rejected += len(rejects)
+            stats.rows_accepted += count - len(failed)
+            if not table.is_fact:  # each accepted row is new or deduplicated; the new ones grew the table
                 new = store.row_count(table.name) - rows_before
                 stats.upserts_new += new
-                stats.upserts_deduped += stats.rows_accepted - accepted_before - new
+                stats.upserts_deduped += count - len(failed) - new
             store.flush()
             stats.elapsed_s += time.perf_counter() - started
     return report

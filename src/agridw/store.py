@@ -9,7 +9,8 @@ because tables are append-only; no other version is read. Opening a store
 checks each table's digest, header and row count, and parses no cell. Every
 read decodes columns through ``_TableState.columns``, which frames records
 with ``util.csv_records``, the reader ETL uses for its sources; a row is a
-view over the columns.
+view over the columns. Writes go the other way: a ``Batch`` holds one list
+per attribute, checked and rendered a column at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import sys
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
-from math import fsum
+from itertools import chain, count, repeat
+from math import fsum, isfinite
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -60,6 +62,35 @@ def _blake2b64(data: bytes):
     return hashlib.blake2b(data, digest_size=8)
 
 
+class Batch:
+    """Rows to write, held as one list per attribute, each ``len(batch)``
+    long, None where a value is absent. ``of_rows`` transposes row dicts
+    and keeps them, so that a fault is reported in its own row's key order;
+    a batch made from columns has every key in every row, in column order."""
+
+    __slots__ = ("columns", "_count", "_rows")
+
+    def __init__(self, columns: Mapping[str, Sequence], count: int, rows: Sequence[Mapping] | None = None):
+        self.columns = columns
+        self._count = count
+        self._rows = rows
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[Mapping]) -> "Batch":
+        names = dict.fromkeys(chain.from_iterable(rows))
+        return cls({name: [row.get(name) for row in rows] for name in names}, len(rows), rows)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def row(self, i: int) -> Mapping:
+        return self._rows[i] if self._rows is not None else {name: column[i] for name, column in self.columns.items()}
+
+    def first_holding(self, name: str) -> int:
+        """The first row that holds the key ``name``, its value absent or not."""
+        return 0 if self._rows is None else next(i for i, row in enumerate(self._rows) if name in row)
+
+
 class _TableState:
     """One table held as its ``data.csv`` bytes: ``chunks`` is the header, or
     the verified file read at open, then each line or batch this process
@@ -68,8 +99,9 @@ class _TableState:
     does, and a record that reader refuses fails every read of the table.
 
     ``where`` maps each ``data.csv`` column, in file order with ``sk`` first
-    for dimensions, to its ``(position, kind, decoder)``; ``encode`` (writes)
-    and ``columns`` (every read, ``index`` too) look columns up in it.
+    for dimensions, to its ``(position, kind, decoder)``; ``check`` and
+    ``render`` (writes) and ``columns`` (every read, ``index`` too) look
+    columns up in it.
     ``foreign_keys`` maps each foreign-key column to the table it references.
     ``count`` is the table's row count, checked against the bytes at open.
     """
@@ -187,46 +219,111 @@ class _TableState:
         self.chunks.append(data)
         self.count += rows
 
-    def encode(self, row: Mapping, limits: Mapping[str, int], sk: int | None = None) -> tuple[bytes, list[str]]:
-        """The ``data.csv`` line and cells of ``row``, checked in one pass over
-        the values it sets, so the first fault in the row's key order is raised.
+    def refusal(self, name: str, value, limits: Mapping[str, int]) -> StoreError | None:
+        """The error the column ``name`` raises for ``value`` (not None), or
+        None when it takes it: a number must be finite, a foreign key an int
+        in ``1..limits[name]``, anything else non-empty text no longer than
+        ``csv.field_size_limit()``, since ``csv.reader`` could not read it back."""
+        kind, table = self.where[name][1], self.table.name
+        if kind == "number":
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                return StoreTypeError(f"{table}.{name}: expected a finite number")
+        elif kind == "foreign-key":
+            if isinstance(value, bool) or not isinstance(value, int):
+                return StoreTypeError(f"{table}.{name}: keys are integers")
+            if not 1 <= value <= limits[name]:
+                return DanglingKeyError(f"{table}.{name}={value} does not resolve in {self.foreign_keys[name]!r}")
+        elif not isinstance(value, str) or value == "":
+            return StoreTypeError(f"{table}.{name}: expected non-empty text")
+        elif len(value) > csv.field_size_limit():
+            return StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
+        return None
 
-        Numbers are written through ``format_decimal``; a text longer than
-        ``csv.field_size_limit()`` is refused, since ``csv.reader`` could not
-        read it back. A foreign key named in ``limits`` must lie in
-        ``1..limit``. A dimension row's ``sk`` is the ``sk`` given, which the
-        row itself must not hold; a fact row has no ``sk`` column.
-        """
-        where, table = self.where, self.table.name
-        cells = [""] * len(where)
-        if sk is not None:
-            if SK_COLUMN in row:
-                raise StoreTypeError(f"{table}: the store assigns {SK_COLUMN!r}")
-            cells[0] = str(sk)
-        for name, value in row.items():
-            column = where.get(name)
-            if column is None:
-                raise StoreTypeError(f"{table}: unknown attribute {name!r}")
-            if value is None:
-                continue
-            i, kind, decode = column
-            if kind == "number":
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                    raise StoreTypeError(f"{table}.{name}: expected a finite number")
-                cells[i] = format_decimal(value)
-            elif decode is int:  # foreign keys
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise StoreTypeError(f"{table}.{name}: keys are integers")
-                if name in limits and not 1 <= value <= limits[name]:
-                    raise DanglingKeyError(f"{table}.{name}={value} does not resolve in {self.foreign_keys[name]!r}")
-                cells[i] = str(value)
+    def _first_refused(self, name: str, column: Sequence, limits: Mapping[str, int]) -> int | None:
+        """The first position whose value the column ``name`` refuses, or None.
+        A check over the whole column at C speed passes most columns; only
+        one it cannot pass is walked value by value through ``refusal``."""
+        kind = self.where[name][1]
+        present = column if None not in column else [value for value in column if value is not None]
+        types = set(map(type, present))
+        if kind == "number":
+            if types <= {float} and all(map(isfinite, present)):
+                return None
+        elif kind == "foreign-key":
+            if types <= {int} and (not present or 1 <= min(present) and max(present) <= limits[name]):
+                return None
+        elif types <= {str} and "" not in present and max(map(len, present), default=0) <= csv.field_size_limit():
+            return None
+        return next((i for i, value in enumerate(column)
+                     if value is not None and self.refusal(name, value, limits) is not None), None)
+
+    def check(self, batch: "Batch", limits: Mapping[str, int]) -> None:
+        """Raise for the first faulty row of ``batch``, and for that row's
+        first fault in its own key order. A row is faulty when it holds a key
+        the table has no column for (a dimension row's ``sk`` too, which the
+        store assigns), absent value or not; when a column refuses one of its
+        values (``refusal``); or, in a dimension, when it lacks a natural-key
+        part. Each column is checked once; the first faulty row alone is then
+        checked again, key by key."""
+        where, table, dimension = self.where, self.table.name, self.table.role == "dimension"
+        faults = []
+        for name, column in batch.columns.items():
+            if name not in where or dimension and name == SK_COLUMN:
+                faults.append(batch.first_holding(name))
             else:
-                if not isinstance(value, str) or value == "":
-                    raise StoreTypeError(f"{table}.{name}: expected non-empty text")
-                if len(value) > csv.field_size_limit():
-                    raise StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
-                cells[i] = csv_field(value)  # numbers and keys never need quoting
-        return (",".join(cells) + "\n").encode("utf-8"), cells
+                faults.append(self._first_refused(name, column, limits))
+        for part in self.table.natural_key:
+            column = batch.columns.get(part)
+            if column is None:
+                faults.append(0 if len(batch) else None)
+            elif None in column:
+                faults.append(column.index(None))
+        at = min((i for i in faults if i is not None), default=None)
+        if at is None:
+            return
+        row = batch.row(at)
+        if dimension and SK_COLUMN in row:
+            raise StoreTypeError(f"{table}: the store assigns {SK_COLUMN!r}")
+        for name, value in row.items():
+            if name not in where:
+                raise StoreTypeError(f"{table}: unknown attribute {name!r}")
+            if value is not None and (error := self.refusal(name, value, limits)) is not None:
+                raise error
+        missing = next(part for part in self.table.natural_key if row.get(part) is None)
+        raise StoreTypeError(f"{table}: natural key part {missing!r} is missing")
+
+    def render(self, batch: "Batch", positions: Sequence[int] | None = None) -> bytes:
+        """The ``data.csv`` lines of the rows of ``batch`` at ``positions``
+        (every row when None), checked by ``check``, rendered a column at a
+        time: numbers through ``format_decimal``, keys through ``str``, text
+        quoted as ``csv_field`` quotes it. A dimension's rows get the ``sk``
+        after the table's last."""
+        size = len(batch) if positions is None else len(positions)
+        cells = []
+        for name, (_, kind, _) in self.where.items():
+            column = batch.columns.get(name)
+            if kind == "surrogate-key":
+                cells.append(map(str, range(self.count + 1, self.count + size + 1)))
+                continue
+            if column is None:
+                cells.append(repeat("", size))
+                continue
+            if positions is not None:
+                column = [column[i] for i in positions]
+            if kind == "number":
+                render = format_decimal
+            elif kind == "foreign-key":
+                render = str
+            else:  # text, quoted only when some value needs it
+                joined = "".join(filter(None, column))
+                render = csv_field if csv_field(joined) != joined else None
+            if render is None:
+                cells.append([value or "" for value in column] if None in column else column)
+            elif None in column:
+                cells.append([render(value) if value is not None else "" for value in column])
+            else:
+                cells.append(list(map(render, column)))
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
 
     @property
     def digest(self) -> str:
@@ -362,33 +459,33 @@ class Store:
         state = self._tables.get(table_name) or _TableState(table)
         return state, {name: self.row_count(ref) for name, ref in state.foreign_keys.items()}
 
-    def upsert_dimensions(self, table_name: str, rows: Sequence[Mapping]) -> list[int]:
+    def upsert_dimensions(self, table_name: str, rows: Sequence[Mapping] | Batch) -> list[int]:
         """Insert or find each row by natural key and return its ``sk``; the
         first write of a key wins, within the batch and against the table, and
         keys stay dense. A foreign key must resolve against the table as it
         was before the batch, as in ``insert_facts``. Every row is checked,
-        a duplicate too; a faulty row rejects the whole batch."""
+        a duplicate too, and a faulty row rejects the whole batch; only the
+        rows of new keys are rendered."""
         state, limits = self._writable(table_name, "dimension")
+        batch = rows if isinstance(rows, Batch) else Batch.of_rows(rows)
+        state.check(batch, limits)
+        if not len(batch):
+            return []
         state.index()
-        known, added = state.by_natural, {}  # added: the keys this batch appends, in sk order
-        natural_key = state.table.natural_key
-        sks, lines = [], []
-        for row in rows:
-            line = state.encode(row, limits, state.count + len(lines) + 1)[0]
-            key = tuple(map(row.get, natural_key))  # text, as ``encode`` checked it
-            if None in key:
-                raise StoreTypeError(f"{table_name}: natural key part {natural_key[key.index(None)]!r} is missing")
-            sk = known.get(key) or added.get(key)
-            if sk is None:
-                lines.append(line)
-                sk = added[key] = state.count + len(lines)
-            sks.append(sk)
-        if lines:
-            known.update(added)
+        parts = [batch.columns[part] for part in state.table.natural_key]
+        keys = list(zip(*parts)) if parts else [()] * len(batch)
+        sks = list(map(state.by_natural.get, keys))
+        # the keys the table lacks, in the order the batch first holds them, each with the next sk
+        added = dict(zip(dict.fromkeys(key for key, sk in zip(keys, sks) if sk is None), count(state.count + 1)))
+        if added:
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first position
+            positions = [first[key] for key in added] if len(added) < len(keys) else None  # None: every row
+            state.append(state.render(batch, positions), len(added))
+            state.by_natural.update(added)
             for key, sk in added.items():
                 state.by_leading.setdefault(key[0], sk)
-            state.append(b"".join(lines), len(lines))
             self._tables[table_name] = state
+            sks = [sk or added[key] for key, sk in zip(keys, sks)]
         return sks
 
     def upsert_dimension(self, table_name: str, row: Mapping) -> int:
@@ -405,15 +502,16 @@ class Store:
         state.index()
         return MappingProxyType(state.by_leading)
 
-    def insert_facts(self, table_name: str, rows: Sequence[Mapping]) -> int:
+    def insert_facts(self, table_name: str, rows: Sequence[Mapping] | Batch) -> int:
         """Append a batch atomically; a mistyped row or a dangling key rejects
         the whole batch, and an empty batch registers no table."""
         state, limits = self._writable(table_name, "fact")
-        lines = [state.encode(row, limits)[0] for row in rows]
-        if lines:
-            state.append(b"".join(lines), len(lines))
+        batch = rows if isinstance(rows, Batch) else Batch.of_rows(rows)
+        state.check(batch, limits)
+        if len(batch):
+            state.append(state.render(batch), len(batch))
             self._tables[table_name] = state
-        return len(rows)
+        return len(batch)
 
     # -- reads ------------------------------------------------------------
 

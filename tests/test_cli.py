@@ -240,6 +240,19 @@ class TestIngest:
         assert "Crop.CropID" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_catalog_that_fails_validation_exit_two_creates_no_store(self, tmp_path, capsys):
+        crops, _, crop_map, _ = _fixture_sources(tmp_path, ["C1,8.5\n"])
+        catalog = builtin_catalog()
+        crop = dataclasses.replace(catalog.table("Crop"), natural_key=("CropCode", "CropName"))
+        broken = save_catalog(type(catalog)(version=catalog.version, tables={**catalog.tables, "Crop": crop}),
+                              tmp_path / "broken.json")
+        store = tmp_path / "store"
+        assert main(["ingest", "--store", str(store), "--catalog", str(broken),
+                     "--source", crops, "--mapping", crop_map]) == 2
+        err = capsys.readouterr().err
+        assert "Crop.CropCode: [unknown-natural-key]" in err
+        assert not store.exists()
+
     def test_catalog_mismatch_exit_two(self, tmp_path, capsys):
         crops, facts, crop_map, fact_map = _fixture_sources(tmp_path, ["C1,8.5\n"])
         store = str(tmp_path / "store")

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -385,42 +386,101 @@ _FIELD_ROW = st.fixed_dictionaries(
     {"FieldID": st.sampled_from(["F1", "F2", 'F"3']), "FieldName": st.sampled_from(["a", "b,c"])},
     optional={"SiteID": st.integers(1, 2), "Area": _NUMBER, "Notes": _QUOTED_TEXT},
 )
-_FAULT = st.sampled_from([{"SiteID": 3}, {"SiteID": 0}, {"Area": "lots"}, {"Notes": ""}, {"FieldName": None}])
+_FAULT = st.sampled_from([
+    {"SiteID": 3}, {"SiteID": 0}, {"Area": "lots"}, {"Notes": ""}, {"FieldName": None}, {"Colour": None}, {"sk": 1},
+])
+# FieldFact rows; CropKey must lie in 1..2, the two Crop rows.
+_FACT_ROW = st.fixed_dictionaries(
+    {}, optional={"CropKey": st.integers(1, 2), "YieldValue": _NUMBER, "InsecticideQty": st.none() | _NUMBER},
+)
+_FACT_FAULT = st.sampled_from([
+    {"CropKey": 3}, {"CropKey": 0}, {"CropKey": True}, {"CropKey": 1.0}, {"YieldValue": "9"},
+    {"YieldValue": float("nan")}, {"HerbicideQty": 10**400}, {"Colour": None}, {"sk": 1},
+])
+
+
+def _with_faults(rows, faults, blank):
+    """``rows`` with a faulty row put in at each ``(position, change)``: the
+    row drawn at that position, or ``blank``, changed; and the first faulty
+    row, None when there is none."""
+    batch = [(row, False) for row in rows]
+    for at, change in faults:
+        base = rows[at] if at < len(rows) else blank
+        batch.insert(min(at, len(batch)), ({**base, **change}, True))
+    return [row for row, _ in batch], next((row for row, faulty in batch if faulty), None)
+
+
+def _refusal(write, rows) -> tuple[type, str]:
+    """The class and text of the error ``write(rows)`` raises."""
+    with pytest.raises((StoreTypeError, DanglingKeyError)) as info:
+        write(rows)
+    return type(info.value), str(info.value)
+
+
+def _batch_equals_one_write_per_row(table, batches, seed, blank, write_batch, write_one):
+    """Twin stores, seeded with ``seed``: each batch written whole to one and
+    a row at a time to the other. A batch with faulty rows raises what its
+    first faulty row alone raises and leaves the table as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
+        for store in stores:
+            seed(store)
+        batched, single = stores
+        for rows, faults in batches:
+            if faults:
+                bad_batch, first_bad = _with_faults(rows, faults, blank)
+                before = batched.row_count(table), batched.table_digest(table), batched.snapshot().tables
+                raised = _refusal(lambda rows: write_batch(batched, rows), bad_batch)
+                assert raised == _refusal(lambda rows: write_batch(batched, rows), [first_bad])
+                assert (batched.row_count(table), batched.table_digest(table), batched.snapshot().tables) == before
+            assert write_batch(batched, rows) == [write_one(single, row) for row in rows]
+        for store in stores:
+            store.flush()
+        assert _data_files(Path(tmp) / "batched") == _data_files(Path(tmp) / "single")
+        assert batched.table_digest(table) == single.table_digest(table)
+        return stores + [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     batches=st.lists(
-        st.tuples(st.lists(_FIELD_ROW, max_size=6), st.none() | st.tuples(st.integers(0, 6), _FAULT)),
+        st.tuples(st.lists(_FIELD_ROW, max_size=6), st.lists(st.tuples(st.integers(0, 6), _FAULT), max_size=3)),
         min_size=1,
         max_size=5,
     )
 )
 def test_a_batch_upsert_equals_one_upsert_per_row(batches):
-    """``upsert_dimensions`` against ``upsert_dimension`` row by row on a twin
-    store; a batch with a faulty row leaves the table as it was."""
-    with tempfile.TemporaryDirectory() as tmp:
-        stores = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
-        for store in stores:
-            store.upsert_dimensions("Site", [{"SiteID": "S1", "SiteName": "n"}, {"SiteID": "S2", "SiteName": "n"}])
-        batched, single = stores
-        for rows, fault in batches:
-            if fault is not None:
-                at, change = fault
-                bad = {**(rows[at] if at < len(rows) else {"FieldID": "F9", "FieldName": "z"}), **change}
-                before = batched.row_count("Field"), batched.table_digest("Field"), batched.snapshot().tables
-                with pytest.raises((StoreTypeError, DanglingKeyError)):
-                    batched.upsert_dimensions("Field", [*rows[:at], bad, *rows[at:]])
-                assert (batched.row_count("Field"), batched.table_digest("Field"), batched.snapshot().tables) == before
-            assert batched.upsert_dimensions("Field", rows) == [single.upsert_dimension("Field", row) for row in rows]
-            assert dict(batched.dimension_keys("Field")) == dict(single.dimension_keys("Field"))
-        for store in stores:
-            store.flush()
-        assert _data_files(Path(tmp) / "batched") == _data_files(Path(tmp) / "single")
-        assert batched.table_digest("Field") == single.table_digest("Field")
-        reopened = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
-        for leading in ("F1", "F2", 'F"3', "F9"):
-            assert len({store.dimension_keys("Field").get(leading) for store in stores + reopened}) == 1
+    """``upsert_dimensions`` against ``upsert_dimension`` row by row."""
+    stores = _batch_equals_one_write_per_row(
+        "Field", batches,
+        seed=lambda store: store.upsert_dimensions("Site", [{"SiteID": "S1", "SiteName": "n"},
+                                                            {"SiteID": "S2", "SiteName": "n"}]),
+        blank={"FieldID": "F9", "FieldName": "z"},
+        write_batch=lambda store, rows: store.upsert_dimensions("Field", rows),
+        write_one=lambda store, row: store.upsert_dimension("Field", row),
+    )
+    for leading in ("F1", "F2", 'F"3', "F9"):
+        assert len({store.dimension_keys("Field").get(leading) for store in stores}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.lists(_FACT_ROW, max_size=6), st.lists(st.tuples(st.integers(0, 6), _FACT_FAULT), max_size=3)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_a_batch_insert_equals_one_insert_per_row(batches):
+    """``insert_facts`` of a batch against ``insert_facts`` of each row alone."""
+    stores = _batch_equals_one_write_per_row(
+        "FieldFact", batches,
+        seed=lambda store: store.upsert_dimensions("Crop", [_crop("C1", "Grass"), _crop("C2", "Winter Rye")]),
+        blank={},
+        write_batch=lambda store, rows: [1] * store.insert_facts("FieldFact", rows),
+        write_one=lambda store, row: store.insert_facts("FieldFact", [row]),
+    )
+    assert len({store.snapshot().digest for store in stores}) == 1
 
 
 class TestInsertFacts:
@@ -456,7 +516,7 @@ class TestInsertFacts:
 
 
 class TestFirstFaultInKeyOrder:
-    """``encode`` checks a row in one pass over its keys, the foreign-key range too."""
+    """A faulty row reports its first fault in its own key order, the foreign-key range too."""
 
     def test_a_row_reports_its_first_fault_in_key_order(self, store_dir):
         store = open_store(store_dir, CATALOG)
@@ -489,31 +549,60 @@ _KIND_VALUES = {"number": _NUMBER, "foreign-key": st.integers(1, 9)}
 
 @st.composite
 def _rows_in_two_key_orders(draw):
-    """A Crop, Soil or FieldFact row in catalog column order, and the same row with its keys shuffled."""
+    """A Crop, Soil or FieldFact row in catalog column order, a dimension's
+    natural key always set, and the same row with its keys shuffled."""
     table = CATALOG.table(draw(st.sampled_from(["Crop", "Soil", "FieldFact"])))
-    row = {"sk": 1} if table.role == "dimension" else {}
+    row = {}
     for attribute in table.attributes:
-        if draw(st.booleans()):
+        if attribute.name in table.natural_key:
+            row[attribute.name] = draw(_QUOTED_TEXT)
+        elif draw(st.booleans()):
             row[attribute.name] = draw(st.none() | _KIND_VALUES.get(attribute.kind, _QUOTED_TEXT))
     return table, row, {key: row[key] for key in draw(st.permutations(list(row)))}
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.fixture(scope="module")
+def nine_rows_per_referenced_dimension(tmp_path_factory):
+    """A store holding 9 rows in each dimension a Soil or FieldFact row references."""
+    path = tmp_path_factory.mktemp("referenced") / "store"
+    store = open_store(path, CATALOG)
+    for name in sorted({a.references for t in ("Soil", "FieldFact") for a in CATALOG.table(t).attributes
+                        if a.kind == "foreign-key"}):
+        parts = CATALOG.table(name).natural_key
+        store.upsert_dimensions(name, [{part: f"{part}{i}" for part in parts} for i in range(1, 10)])
+    store.flush()
+    return path
+
+
+@settings(max_examples=150, deadline=None)
 @given(case=_rows_in_two_key_orders())
 @example(case=(CATALOG.table("FieldFact"), {"CropKey": 2, "YieldValue": 2**63 - 1, "InsecticideQty": None},
                {"InsecticideQty": None, "YieldValue": 2**63 - 1, "CropKey": 2}))
-@example(case=(CATALOG.table("Crop"), {"sk": 1, "CropID": 'a,"b', "EstYield": 1e-7},
-               {"EstYield": 1e-7, "CropID": 'a,"b', "sk": 1}))
-def test_a_rows_line_and_cells_do_not_depend_on_its_key_order(case):
+@example(case=(CATALOG.table("Crop"), {"CropID": 'a,"b', "CropName": "c", "EstYield": 1e-7},
+               {"EstYield": 1e-7, "CropName": "c", "CropID": 'a,"b'}))
+def test_a_one_row_batch_writes_the_same_bytes_in_any_key_order(nine_rows_per_referenced_dimension, case):
+    """Twin stores, one given the row and one the row with its keys shuffled,
+    append the same line: the row's cells in column order, each number as
+    ``format_decimal`` writes it."""
     table, row, shuffled = case
-    state = store_module._TableState(table)
-    limits = dict.fromkeys(state.foreign_keys, 9)
-    line, cells = state.encode(row, limits)
-    assert state.encode(shuffled, limits) == (line, cells)
-    assert line == (",".join(cells) + "\n").encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for name, batch in (("given", [row]), ("shuffled", [shuffled])):
+            path = Path(tmp) / name
+            shutil.copytree(nine_rows_per_referenced_dimension, path)
+            store = open_store(path, CATALOG)
+            if table.role == "dimension":
+                store.upsert_dimensions(table.name, batch)
+            else:
+                store.insert_facts(table.name, batch)
+            store.flush()
+            written.append((path / table.name / "data.csv").read_bytes())
+    assert written[0] == written[1]
+    *_, last = csv.reader(io.StringIO(written[0].decode("utf-8"), newline=""))
     kinds = {attribute.name: attribute.kind for attribute in table.attributes}
-    assert next(csv.reader([line.decode("utf-8")])) == [
-        "" if (value := row.get(name)) is None else format_decimal(value) if kinds.get(name) == "number" else str(value)
+    assert last == [  # Crop and Soil, which FieldFact references, already hold 9 rows
+        "10" if name == "sk" else "" if (value := row.get(name)) is None
+        else format_decimal(value) if kinds[name] == "number" else str(value)
         for name in every_column(CATALOG, table.name)
     ]
 
