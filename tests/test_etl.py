@@ -87,6 +87,12 @@ class TestReadSource:
         rows = list(read_source(SourceDescriptor(path=str(path))))
         assert rows[0].fields == {"a": "1", "c": "3"}
 
+    def test_a_repeated_header_name_takes_its_last_non_empty_cell(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b,a\n1,2,3\n1,2,\n,,\n")
+        rows = list(read_source(SourceDescriptor(path=str(path))))
+        assert [row.fields for row in rows] == [{"a": "3", "b": "2"}, {"a": "1", "b": "2"}, {}]
+
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_bytes(b"a,b\r\n1,2\r\n")

@@ -417,10 +417,11 @@ def _refusal(write, rows) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
-def _batch_equals_one_write_per_row(table, batches, seed, blank, write_batch, write_one):
+def _batch_equals_one_write_per_row(table, batches, seed, blank, write_batch, write_one, state):
     """Twin stores, seeded with ``seed``: each batch written whole to one and
-    a row at a time to the other. A batch with faulty rows raises what its
-    first faulty row alone raises and leaves the table as it was."""
+    a row at a time to the other, which agree on ``state`` after each batch.
+    A batch with faulty rows raises what its first faulty row alone raises
+    and leaves the table as it was."""
     with tempfile.TemporaryDirectory() as tmp:
         stores = [open_store(Path(tmp) / name, CATALOG) for name in ("batched", "single")]
         for store in stores:
@@ -434,6 +435,7 @@ def _batch_equals_one_write_per_row(table, batches, seed, blank, write_batch, wr
                 assert raised == _refusal(lambda rows: write_batch(batched, rows), [first_bad])
                 assert (batched.row_count(table), batched.table_digest(table), batched.snapshot().tables) == before
             assert write_batch(batched, rows) == [write_one(single, row) for row in rows]
+            assert state(batched) == state(single)
         for store in stores:
             store.flush()
         assert _data_files(Path(tmp) / "batched") == _data_files(Path(tmp) / "single")
@@ -458,6 +460,7 @@ def test_a_batch_upsert_equals_one_upsert_per_row(batches):
         blank={"FieldID": "F9", "FieldName": "z"},
         write_batch=lambda store, rows: store.upsert_dimensions("Field", rows),
         write_one=lambda store, row: store.upsert_dimension("Field", row),
+        state=lambda store: dict(store.dimension_keys("Field")),
     )
     for leading in ("F1", "F2", 'F"3', "F9"):
         assert len({store.dimension_keys("Field").get(leading) for store in stores}) == 1
@@ -479,6 +482,7 @@ def test_a_batch_insert_equals_one_insert_per_row(batches):
         blank={},
         write_batch=lambda store, rows: [1] * store.insert_facts("FieldFact", rows),
         write_one=lambda store, row: store.insert_facts("FieldFact", [row]),
+        state=lambda store: store.row_count("FieldFact"),
     )
     assert len({store.snapshot().digest for store in stores}) == 1
 
@@ -574,7 +578,7 @@ def nine_rows_per_referenced_dimension(tmp_path_factory):
     return path
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=_rows_in_two_key_orders())
 @example(case=(CATALOG.table("FieldFact"), {"CropKey": 2, "YieldValue": 2**63 - 1, "InsecticideQty": None},
                {"InsecticideQty": None, "YieldValue": 2**63 - 1, "CropKey": 2}))
