@@ -21,6 +21,7 @@ from math import isfinite
 from pathlib import Path
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
+from types import NoneType
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import Catalog, TableDef
@@ -283,7 +284,7 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     shift = exp_a - exp_b
     if shift == 0:
         return value
-    return float(Decimal(repr(value)).scaleb(shift))
+    return float(Decimal(repr(float(value))).scaleb(shift))  # a float subclass may repr as no number: np.float64(0.5)
 
 
 def load_synonym_table(path: str | Path) -> dict[str, str]:
@@ -371,71 +372,64 @@ def load_mapping(path: str | Path) -> MappingSpec:
 #
 # A mapping runs a column at a time. A step takes a column of values and a
 # dict of the positions failed so far with their reasons, and returns the
-# column after it. Each rule is stated once, for one value (a function that
-# raises ``_BindingFailure``); where a column can be passed at C speed, a
-# ``fast`` function gives the same column or None, and None sends the
-# column through the rule value by value.
+# column after it. Each rule is stated once, over a column: it returns the
+# column after it, or raises ``_BindingFailure``, and it passes a column only
+# if it would pass each value alone. A value is checked as a column of one.
+# When a rule fails a column, the step halves it until each part passes or
+# holds one value, so a failing column is narrowed to its failing values;
+# the reason a rule gives for a column of more than one value is never used.
 
 class _BindingFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
 
 
-def _stepped(rule: Callable, fast: Callable | None = None) -> Callable:
+def _stepped(rule: Callable) -> Callable:
     """``rule`` as a step over a column. A value it fails is None after it,
     and its reason is kept unless its position failed an earlier step."""
     def step(values: list, failed: dict[int, str]) -> list:
-        out = fast(values) if fast is not None else None
-        if out is not None:
-            return out
-        out = []
-        for i, value in enumerate(values):
+        def narrowed(start: int, part: list) -> list:
             try:
-                out.append(rule(value))
+                return rule(part)
             except _BindingFailure as failure:
-                failed.setdefault(i, failure.reason)
-                out.append(None)
-        return out
+                if len(part) == 1:
+                    failed.setdefault(start, failure.reason)
+                    return [None]
+            half = len(part) // 2
+            return narrowed(start, part[:half]) + narrowed(start + half, part[half:])
+
+        return narrowed(0, values)
 
     return step
 
 
-def _as_float(value) -> float:
-    """A non-bool int or float as a float; anything else, or an int beyond float range, is a type error."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _as_float(values: list) -> list:
+    """Each non-bool int or float as a float, None kept; any other value, or
+    an int beyond float range, is a type error."""
+    types = set(map(type, values))
+    if types <= {float, NoneType}:
+        return values
+    if bool in types or not all(issubclass(t, (int, float, NoneType)) for t in types):
         raise _BindingFailure(REASON_TYPE)
     try:
-        return float(value)
+        return [None if v is None else float(v) for v in values]
     except OverflowError:
         raise _BindingFailure(REASON_TYPE) from None
 
 
-def _parse_number(text) -> float | None:
-    if text is None:
-        return None
-    if not isinstance(text, str):
-        value = _as_float(text)
-    else:
+def _parse_number(values: list) -> list:
+    """Text, or a non-bool int or float, as a finite float; None kept. A
+    column that mixes text and numbers fails as a whole and is narrowed."""
+    if all(issubclass(t, (str, NoneType)) for t in set(map(type, values))):
         try:
-            value = float(text)
+            values = [None if text is None else float(text) for text in values]
         except ValueError:
             raise _BindingFailure(REASON_TYPE) from None
-    if not isfinite(value):
+    else:
+        values = _as_float(values)
+    if not all(map(isfinite, filter(None, values))):  # filter(None) leaves out None and the zeros
         raise _BindingFailure(REASON_TYPE)
-    return value
-
-
-def _parse_numbers(values: list) -> list | None:
-    """``_parse_number`` over a column of text that parses and is finite."""
-    if not set(map(type, values)) <= {str, type(None)}:
-        return None
-    try:
-        out = [None if text is None else float(text) for text in values]
-    except ValueError:
-        return None
-    return out if all(map(isfinite, filter(None, out))) else None  # filter(None) leaves out None and the zeros
+    return values
 
 
 def _compile_transform(t: Transform) -> Callable | None:
@@ -444,17 +438,15 @@ def _compile_transform(t: Transform) -> Callable | None:
     if t.op == "rename":
         return None
     if t.op == "parse-number":
-        return _stepped(_parse_number, _parse_numbers)
+        return _stepped(_parse_number)
     if t.op == "parse-date":
         pattern = t.params.get("pattern")
         if not isinstance(pattern, str):
             raise MappingError("parse-date needs a pattern")
 
-        def parse_date(v):
-            if v is None:
-                return None
+        def parse_date(values):
             try:
-                return datetime.strptime(str(v), pattern).date().isoformat()
+                return [None if v is None else datetime.strptime(str(v), pattern).date().isoformat() for v in values]
             except ValueError:
                 raise _BindingFailure(REASON_TYPE) from None
 
@@ -464,13 +456,11 @@ def _compile_transform(t: Transform) -> Callable | None:
         if not isinstance(from_unit, str) or not isinstance(to_unit, str):
             raise MappingError("unit-convert needs 'from' and 'to'")
 
-        def unit_convert(v):
-            if v is None:
-                return None
-            if not isinstance(v, float):
+        def unit_convert(values):
+            if not all(issubclass(t, (float, NoneType)) for t in set(map(type, values))):
                 raise _BindingFailure(REASON_TYPE)
             try:
-                return convert_unit(v, from_unit, to_unit)
+                return [None if v is None else convert_unit(v, from_unit, to_unit) for v in values]
             except UnitConversionError:
                 raise _BindingFailure(REASON_UNIT) from None
 
@@ -481,13 +471,11 @@ def _compile_transform(t: Transform) -> Callable | None:
             raise MappingError(f"unknown synonym table {name!r}")
         table = builtin_crop_synonyms()
 
-        def lookup(v):
-            if v is None:
-                return None
-            hit = normalize_synonym(str(v), table)
-            if hit is None:
+        def lookup(values):
+            out = [None if v is None else normalize_synonym(str(v), table) for v in values]
+            if out.count(None) != values.count(None):
                 raise _BindingFailure(REASON_SYNONYM)
-            return hit
+            return out
 
         return _stepped(lookup)
     if t.op in ("constant", "nullable-default"):
@@ -501,47 +489,31 @@ def _compile_transform(t: Transform) -> Callable | None:
 
 
 def _compile_check(kind: str, nullable: bool, bounds: tuple[float, float, bool] | None) -> Callable:
-    """The step that ends a binding's chain: missing-required, then for a
-    number the type, range and finiteness checks, and for any other kind the
-    text check: a foreign key's text is resolved later, and any other text
-    must be one the store holds, non-empty and no longer than
+    """The step that ends a binding's chain. Within one value: missing-required,
+    then for a number the type, range and finiteness checks, and for any
+    other kind the text check: a foreign key's text is resolved later, and
+    any other text must be one the store holds, non-empty and no longer than
     ``csv.field_size_limit()``."""
-    def check(value):
-        if value is None:
-            if not nullable:
-                raise _BindingFailure(REASON_MISSING)
-            return None
+    def check(values):
+        if not nullable and None in values:
+            raise _BindingFailure(REASON_MISSING)
         if kind == "number":
-            value = _as_float(value)
-            if bounds is not None:
-                lo, hi, lo_exclusive = bounds
-                if value < lo or value > hi or (lo_exclusive and value == lo):
-                    raise _BindingFailure(REASON_RANGE)
-            if not isfinite(value):  # e.g. a unit conversion that overflowed
-                raise _BindingFailure(REASON_TYPE)
-        elif not isinstance(value, str) or (kind != "foreign-key" and not 0 < len(value) <= csv.field_size_limit()):
-            raise _BindingFailure(REASON_TYPE)
-        return value
-
-    def passed(values):
+            values = _as_float(values)
         present = values if None not in values else [v for v in values if v is not None]
-        if len(present) < len(values) and not nullable:
-            return None
-        types = set(map(type, present))
         if kind == "number":
-            if not types <= {float} or not all(map(isfinite, present)):
-                return None
             if present and bounds is not None:
                 lo, hi, lo_exclusive = bounds
-                low = min(present)
+                low = min(present)  # a NaN may hide from min and max; it fails as not finite below
                 if low < lo or max(present) > hi or (lo_exclusive and low == lo):
-                    return None
-        elif not types <= {str} or kind != "foreign-key" and (
+                    raise _BindingFailure(REASON_RANGE)
+            if not all(map(isfinite, present)):  # e.g. a unit conversion that overflowed
+                raise _BindingFailure(REASON_TYPE)
+        elif not all(issubclass(t, str) for t in set(map(type, present))) or kind != "foreign-key" and (
                 "" in present or max(map(len, present), default=0) > csv.field_size_limit()):
-            return None
+            raise _BindingFailure(REASON_TYPE)
         return values
 
-    return _stepped(check, passed)
+    return _stepped(check)
 
 
 class CompiledMapping:

@@ -219,43 +219,34 @@ class _TableState:
         self.chunks.append(data)
         self.count += rows
 
-    def refusal(self, name: str, value, limits: Mapping[str, int]) -> StoreError | None:
-        """The error the column ``name`` raises for ``value`` (not None), or
-        None when it takes it: a number must be finite, a foreign key an int
-        in ``1..limits[name]``, anything else non-empty text no longer than
-        ``csv.field_size_limit()``, since ``csv.reader`` could not read it back."""
+    def refusal(self, name: str, column: Sequence, limits: Mapping[str, int]) -> StoreError | None:
+        """The error the column ``name`` raises for some value of ``column``,
+        or None when it takes them all; None is an absent value. A number must
+        be finite, a foreign key an int in ``1..limits[name]``, anything else
+        non-empty text no longer than ``csv.field_size_limit()``, since
+        ``csv.reader`` could not read it back. The error for a column of one
+        value is that value's; for a longer column it names one of them."""
         kind, table = self.where[name][1], self.table.name
-        if kind == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                return StoreTypeError(f"{table}.{name}: expected a finite number")
-        elif kind == "foreign-key":
-            if isinstance(value, bool) or not isinstance(value, int):
-                return StoreTypeError(f"{table}.{name}: keys are integers")
-            if not 1 <= value <= limits[name]:
-                return DanglingKeyError(f"{table}.{name}={value} does not resolve in {self.foreign_keys[name]!r}")
-        elif not isinstance(value, str) or value == "":
-            return StoreTypeError(f"{table}.{name}: expected non-empty text")
-        elif len(value) > csv.field_size_limit():
-            return StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
-        return None
-
-    def _first_refused(self, name: str, column: Sequence, limits: Mapping[str, int]) -> int | None:
-        """The first position whose value the column ``name`` refuses, or None.
-        A check over the whole column at C speed passes most columns; only
-        one it cannot pass is walked value by value through ``refusal``."""
-        kind = self.where[name][1]
         present = column if None not in column else [value for value in column if value is not None]
         types = set(map(type, present))
         if kind == "number":
-            if types <= {float} and all(map(isfinite, present)):
-                return None
+            # a NaN may hide from min and max but fails isfinite, which meets
+            # no int beyond float range once min and max are within it
+            if bool in types or not all(issubclass(t, (int, float)) for t in types) or present and not (
+                    -_FLOAT_MAX <= min(present) and max(present) <= _FLOAT_MAX and all(map(isfinite, present))):
+                return StoreTypeError(f"{table}.{name}: expected a finite number")
         elif kind == "foreign-key":
-            if types <= {int} and (not present or 1 <= min(present) and max(present) <= limits[name]):
-                return None
-        elif types <= {str} and "" not in present and max(map(len, present), default=0) <= csv.field_size_limit():
-            return None
-        return next((i for i, value in enumerate(column)
-                     if value is not None and self.refusal(name, value, limits) is not None), None)
+            if bool in types or not all(issubclass(t, int) for t in types):
+                return StoreTypeError(f"{table}.{name}: keys are integers")
+            low, high = min(present, default=1), max(present, default=0)
+            if low < 1 or high > limits[name]:
+                value = low if low < 1 else high
+                return DanglingKeyError(f"{table}.{name}={value} does not resolve in {self.foreign_keys[name]!r}")
+        elif not all(issubclass(t, str) for t in types) or "" in present:
+            return StoreTypeError(f"{table}.{name}: expected non-empty text")
+        elif max(map(len, present), default=0) > csv.field_size_limit():
+            return StoreTypeError(f"{table}.{name}: text longer than csv.field_size_limit() ({csv.field_size_limit()})")
+        return None
 
     def check(self, batch: "Batch", limits: Mapping[str, int]) -> None:
         """Raise for the first faulty row of ``batch``, and for that row's
@@ -263,15 +254,16 @@ class _TableState:
         the table has no column for (a dimension row's ``sk`` too, which the
         store assigns), absent value or not; when a column refuses one of its
         values (``refusal``); or, in a dimension, when it lacks a natural-key
-        part. Each column is checked once; the first faulty row alone is then
-        checked again, key by key."""
+        part. Each column is checked once; a column with a fault, and the
+        first faulty row alone, are then checked again a value at a time."""
         where, table, dimension = self.where, self.table.name, self.table.role == "dimension"
         faults = []
         for name, column in batch.columns.items():
             if name not in where or dimension and name == SK_COLUMN:
                 faults.append(batch.first_holding(name))
-            else:
-                faults.append(self._first_refused(name, column, limits))
+            elif self.refusal(name, column, limits) is not None:
+                faults.append(next(i for i, value in enumerate(column)
+                                   if self.refusal(name, [value], limits) is not None))
         for part in self.table.natural_key:
             column = batch.columns.get(part)
             if column is None:
@@ -287,7 +279,7 @@ class _TableState:
         for name, value in row.items():
             if name not in where:
                 raise StoreTypeError(f"{table}: unknown attribute {name!r}")
-            if value is not None and (error := self.refusal(name, value, limits)) is not None:
+            if (error := self.refusal(name, [value], limits)) is not None:
                 raise error
         missing = next(part for part in self.table.natural_key if row.get(part) is None)
         raise StoreTypeError(f"{table}: natural key part {missing!r} is missing")

@@ -5,6 +5,7 @@ import json
 from decimal import Decimal
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,10 @@ class TestConvertUnit:
     def test_ton_alias(self):
         assert convert_unit(3.5, "ton/ha", "t/ha") == 3.5
         assert convert_unit(3.5, "ton/ha", "kg/ha") == 3500
+
+    def test_a_float_subclass_converts_as_its_float(self):
+        value = convert_unit(numpy.float64(500.0), "g/ha", "kg/ha")
+        assert (type(value), value) == (float, 0.5)
 
     @given(
         value=st.decimals(
@@ -406,6 +411,40 @@ class TestApplyMapping:
         reject = apply_mapping(_raw({"id": "C1", "name": "Grass"}), spec, CATALOG)
         assert isinstance(reject, RejectRecord)
         assert (reject.binding, reject.reason) == (target, reason)
+
+
+class _Text(str):
+    pass
+
+
+class TestValueSubclasses:
+    """A value of a subclass of the type a rule takes maps as that type's
+    value would, alone or down a column."""
+
+    def test_text_and_float_subclasses_map(self):
+        spec = mapping_from_dict({"target_table": "Crop", "bindings": [
+            {"source": "id", "target": "CropID"},
+            {"source": "name", "target": "CropName", "transforms": [{"op": "synonym", "table": "crop-names"}]},
+            {"source": "est", "target": "EstYield", "transforms": [{"op": "parse-number"}]},
+        ]})
+        numbers = mapping_from_dict({"target_table": "FieldFact", "bindings": [
+            {"source": "g", "target": "HerbicideQty",
+             "transforms": [{"op": "unit-convert", "from": "g/ha", "to": "kg/ha"}]},
+            {"source": "t", "target": "YieldValue", "transforms": [{"op": "parse-number"}]},
+        ]})
+        text, numbers = CompiledMapping(spec, CATALOG), CompiledMapping(numbers, CATALOG)
+        row = {"id": _Text("C1"), "name": _Text(" grass "), "est": _Text("8.5")}
+        assert text.apply(_raw(row)) == {"CropID": "C1", "CropName": "Grass", "EstYield": 8.5}
+        typed = numbers.apply(_raw({"g": numpy.float64(500.0), "t": numpy.float64(8.5)}))
+        assert [(name, type(value), value) for name, value in typed.items()] == [
+            ("HerbicideQty", float, 0.5), ("YieldValue", float, 8.5)]
+        columns = {"id": [_Text("C1"), "C2"], "name": [_Text("grass"), "Grass"], "est": [_Text("8.5"), "9"]}
+        assert text.map_columns(columns, 2) == (
+            [("CropID", ["C1", "C2"]), ("CropName", ["Grass", "Grass"]), ("EstYield", [8.5, 9.0])], {})
+        typed, failed = numbers.map_columns({"g": [numpy.float64(500.0), 250.0], "t": [numpy.float64(8.5), 9.0]}, 2)
+        assert [(name, list(map(type, values)), values) for name, values in typed] == [
+            ("HerbicideQty", [float, float], [0.5, 0.25]), ("YieldValue", [float, float], [8.5, 9.0])]
+        assert failed == {}
 
 
 class TestMappingTotality:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -546,6 +548,45 @@ class TestFirstFaultInKeyOrder:
         with pytest.raises(StoreTypeError, match=f"{table}: unknown attribute 'Colour'"):
             write(table, {**row, "Colour": None})
         assert store.row_count(table) == 0
+
+
+class _Text(str):
+    pass
+
+
+class _Key(enum.IntEnum):
+    FIRST = 1
+
+
+class TestValueSubclasses:
+    """A column takes a value of a subclass of its kind's type, alone or down
+    a column, and refuses a bool, which is an int but no number."""
+
+    def test_subclass_values_are_stored(self, store_dir):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimensions("Crop", [_crop(_Text("C1"), _Text("Grass"))])
+        store.upsert_dimensions("Crop", [_crop(_Text("C2"), "Rye"), _crop("C3", _Text("Oats"))])
+        store.insert_facts("FieldFact", [{"CropKey": _Key.FIRST, "YieldValue": numpy.float64(8.5)}])
+        store.insert_facts("FieldFact", [
+            {"CropKey": _Key.FIRST, "YieldValue": 9.0}, {"CropKey": 2, "YieldValue": numpy.float64(7.5)}])
+        snapshot = store.snapshot()
+        assert [row["CropID"] for row in snapshot.rows("Crop")] == ["C1", "C2", "C3"]
+        assert [(row["CropKey"], row["YieldValue"]) for row in snapshot.rows("FieldFact")] == [
+            (1, 8.5), (1, 9.0), (2, 7.5)]
+
+    @pytest.mark.parametrize("column, message", [
+        ("YieldValue", r"FieldFact\.YieldValue: expected a finite number"),
+        ("CropKey", r"FieldFact\.CropKey: keys are integers"),
+    ])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_bool_is_refused(self, store_dir, column, message, at):
+        store = open_store(store_dir, CATALOG)
+        store.upsert_dimension("Crop", _crop("C1", "Grass"))
+        rows = [{"CropKey": 1, "YieldValue": 8.0} for _ in range(at + 1)]
+        rows[at][column] = True
+        with pytest.raises(StoreTypeError, match=f"^{message}$"):
+            store.insert_facts("FieldFact", rows)
+        assert store.row_count("FieldFact") == 0
 
 
 _KIND_VALUES = {"number": _NUMBER, "foreign-key": st.integers(1, 9)}
